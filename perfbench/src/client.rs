@@ -23,8 +23,21 @@ pub struct Daemon {
 impl Daemon {
     /// Spawns `server` on a free local port with `args`, and waits for its
     /// listening line and a `pong`. Returns the daemon and the seconds from
-    /// spawn to `pong`.
+    /// spawn to `pong`. The port is found free just before the daemon binds
+    /// it, so another process can take it in between: a failed start is
+    /// retried on a new port.
     pub fn spawn(server: &Path, args: &[String]) -> Result<(Self, f64), String> {
+        let mut failure = String::new();
+        for _ in 0..3 {
+            match Self::spawn_once(server, args) {
+                Ok(started) => return Ok(started),
+                Err(e) => failure = e,
+            }
+        }
+        Err(failure)
+    }
+
+    fn spawn_once(server: &Path, args: &[String]) -> Result<(Self, f64), String> {
         let port = TcpListener::bind("127.0.0.1:0")
             .and_then(|l| l.local_addr())
             .map_err(|e| format!("no free port: {e}"))?
