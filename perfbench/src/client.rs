@@ -288,11 +288,12 @@ pub fn round_trip(
 }
 
 /// Closed loop: `clients` connections each send their next request (the
-/// next unsent one of `stream`) as soon as the previous `done` arrives,
-/// until `seconds` have passed. Returns every completed request.
+/// line `request(i)` gives for the next unsent index `i`) as soon as the
+/// previous `done` arrives, until `seconds` have passed or `request` has no
+/// more. Returns every completed request and the wall time.
 pub fn closed_loop(
     daemon: &Daemon,
-    stream: &[GenRequest],
+    request: &(dyn Fn(usize) -> Option<String> + Sync),
     clients: usize,
     seconds: f64,
 ) -> Result<(Vec<Record>, f64), String> {
@@ -307,8 +308,8 @@ pub fn closed_loop(
                     let mut records = Vec::new();
                     while epoch.elapsed().as_secs_f64() < seconds {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        let request = stream.get(i).ok_or("closed-loop stream exhausted")?;
-                        records.push(round_trip(&mut conn, epoch, i, &request.line)?);
+                        let Some(line) = request(i) else { break };
+                        records.push(round_trip(&mut conn, epoch, i, &line)?);
                     }
                     Ok(records)
                 })

@@ -139,10 +139,6 @@ const FAMILY_COUNTS: [usize; 6] = [6, 5, 4, 2, 2, 1];
 /// capped ranges repeat a pattern now and then too.
 const HOT_PER_BLOCK: usize = 7;
 
-/// Requests generated for `cold_transient`. Generous: a run stops issuing
-/// when its time is up, long before the end of the stream.
-pub const COLD_STREAM_LEN: usize = 2000;
-
 /// `items` in a seeded random order (Fisher–Yates).
 fn shuffled<T>(rng: &mut Rng, mut items: Vec<T>) -> Vec<T> {
     for i in (1..items.len()).rev() {
@@ -156,25 +152,55 @@ fn shuffled<T>(rng: &mut Rng, mut items: Vec<T>) -> Vec<T> {
 /// scenario, so the result cache never hits. Some requests take a topology
 /// from a small hot set (their MNA pattern repeats), the rest draw a fresh
 /// topology (their pattern is often new).
-pub fn cold_transient(seed: u64, count: usize) -> Vec<GenRequest> {
-    let mut rng = Rng::new(seed, "cold_transient");
-    let mut seen = HashSet::new();
-    let mut out = Vec::with_capacity(count);
-    while out.len() < count {
+///
+/// The stream has no end: requests are generated a block at a time when
+/// first asked for, so a closed loop never runs out however fast the daemon
+/// answers or however long the run is.
+pub struct ColdStream {
+    rng: Rng,
+    seen: HashSet<String>,
+    requests: Vec<GenRequest>,
+}
+
+impl ColdStream {
+    /// The stream of `seed`, nothing generated yet.
+    pub fn new(seed: u64) -> Self {
+        Self { rng: Rng::new(seed, "cold_transient"), seen: HashSet::new(), requests: Vec::new() }
+    }
+
+    /// Request `i`, generating blocks up to it as needed.
+    pub fn get(&mut self, i: usize) -> &GenRequest {
+        while self.requests.len() <= i {
+            self.block();
+        }
+        &self.requests[i]
+    }
+
+    /// The first `count` requests, generated if need be.
+    pub fn take(mut self, count: usize) -> Vec<GenRequest> {
+        if count > 0 {
+            self.get(count - 1);
+        }
+        self.requests.truncate(count);
+        self.requests
+    }
+
+    fn block(&mut self) {
+        let rng = &mut self.rng;
         let families: Vec<usize> = FAMILY_COUNTS
             .iter()
             .enumerate()
             .flat_map(|(f, &n)| std::iter::repeat_n(f, n))
             .collect();
-        let families = shuffled(&mut rng, families);
-        let hot = shuffled(&mut rng, (0..BLOCK).map(|k| k < HOT_PER_BLOCK).collect());
-        let cells = shuffled(&mut rng, (0..BLOCK).map(|k| 1 + k % 3).collect());
+        let families = shuffled(rng, families);
+        let hot = shuffled(rng, (0..BLOCK).map(|k| k < HOT_PER_BLOCK).collect());
+        let cells = shuffled(rng, (0..BLOCK).map(|k| 1 + k % 3).collect());
         for k in 0..BLOCK {
             let family = &TRANSIENT_FAMILIES[families[k]];
             let topology: Topology = if hot[k] {
                 family.hot[rng.range(0, family.hot.len() - 1)].to_vec()
             } else {
-                (family.fresh)(&mut rng)
+                (family.fresh)(rng)
             };
             let mut base: Vec<(&str, String)> =
                 topology.iter().map(|&(name, v)| (name, v.to_string())).collect();
@@ -183,12 +209,12 @@ pub fn cold_transient(seed: u64, count: usize) -> Vec<GenRequest> {
             while lengths.len() < cells[k] {
                 let length = format!("{:.6}", 2.0 + 8.0 * rng.unit());
                 let key = format!("{}|{base:?}|{length}", family.evaluator);
-                if seen.insert(key) {
+                if self.seen.insert(key) {
                     lengths.push(length);
                 }
             }
-            out.push(GenRequest::new(
-                format!("ct-{:05}", out.len()),
+            self.requests.push(GenRequest::new(
+                format!("ct-{:05}", self.requests.len()),
                 family.evaluator,
                 &base,
                 ("line_length_mm", lengths),
@@ -196,14 +222,20 @@ pub fn cold_transient(seed: u64, count: usize) -> Vec<GenRequest> {
             ));
         }
     }
-    out.truncate(count);
-    out
 }
 
-/// Open-loop arrival rate of `reuse_open`, requests per second. Well below
-/// the daemon's capacity for these sweeps, whose cost is mostly result-store
-/// writes and evictions.
-pub const REUSE_RATE_PER_S: f64 = 20.0;
+/// The first `count` requests of the `cold_transient` stream of `seed`.
+pub fn cold_transient(seed: u64, count: usize) -> Vec<GenRequest> {
+    ColdStream::new(seed).take(count)
+}
+
+/// Open-loop arrival rate of `reuse_open`, requests per second: about a
+/// tenth of the daemon's capacity on this stream. `perfbench --capacity`
+/// measures that capacity (2 clients sending the same requests back to
+/// back); on a 2-vCPU machine it gave a median of 1200 req/s (1140 to
+/// 1260 over three seeds), so queueing adds little to a request's latency
+/// while a 20 s run still gives 2300 latency samples.
+pub const REUSE_RATE_PER_S: f64 = 115.0;
 
 /// Scenario universe of `reuse_open` per evaluator; cells draw ranks from a
 /// Zipf law over it, so low ranks repeat and high ranks are mostly fresh.
@@ -292,7 +324,7 @@ mod tests {
 
     #[test]
     fn cold_stream_never_repeats_a_scenario() {
-        let stream = cold_transient(11, COLD_STREAM_LEN);
+        let stream = cold_transient(11, 2000);
         let mut keys = HashSet::new();
         for r in &stream {
             assert!((1..=3).contains(&r.cells()));
@@ -300,6 +332,22 @@ mod tests {
                 assert!(keys.insert(k.clone()), "scenario {k} repeats");
             }
         }
+    }
+
+    #[test]
+    fn a_long_closed_loop_cannot_exhaust_the_cold_stream() {
+        // 100 000 requests is a 20 s run at 5000 req/s, hundreds of times
+        // the rate the daemon sustains on 2 vCPUs; blocks keep coming after
+        // that too.
+        let mut stream = ColdStream::new(7);
+        assert_eq!(stream.get(99_999).id, "ct-99999");
+        assert_eq!(stream.get(150_000).id, "ct-150000");
+        // Generating lazily, in any order, gives the same stream as up front.
+        let eager = cold_transient(7, 300);
+        let mut lazy = ColdStream::new(7);
+        let late = lazy.get(299).line.clone();
+        assert_eq!(late, eager[299].line);
+        assert_eq!(dump(&lazy.take(300)), dump(&eager));
     }
 
     #[test]

@@ -32,6 +32,7 @@ use rlckit_server::{json, response};
 use rlckit_sweep::eval::{scenario_ladder_spec, scenario_line};
 use rlckit_sweep::figures::FIGURES;
 use rlckit_sweep::{cache_key, run_sweep, CsvSink, Evaluator, ResultStore, Scenario, SweepOptions};
+use rlckit_telemetry::Collector;
 use rlckit_units::{Time, Voltage};
 
 use crate::client::{self, number, Daemon, Record};
@@ -45,12 +46,17 @@ use crate::Metrics;
 const COLD_REQUESTS: usize = 24;
 /// Deep solver replays per workload at most.
 const DEEP_CELLS: usize = 12;
+/// The evaluators whose circuit [`case_of`] rebuilds for a deep replay.
+const DEEP_EVALUATORS: [&str; 4] = ["mesh_delay", "tree_delay", "reduced_delay", "sram_read"];
 /// Scheduled requests of `reuse_open` replayed (enough for a p90 of the
 /// generator's lag).
 const REUSE_REQUESTS: usize = 120;
 /// Result-store byte budget of the traced `reuse_open` replay, below its
 /// working set so fresh cells write records and force evictions.
 const REUSE_STORE_BUDGET: u64 = 512 * 1024;
+
+/// An evaluated cell: its evaluator and scenario.
+type Cell = (&'static dyn Evaluator, Scenario);
 
 /// What the traced run found wrong, if anything.
 #[derive(Debug, Default)]
@@ -71,7 +77,7 @@ struct Caches {
 
 /// One replayed request's layer work.
 struct Replayed {
-    cells: Vec<(&'static dyn Evaluator, Scenario)>,
+    cells: Vec<Cell>,
     cell_bytes: usize,
     duration: f64,
 }
@@ -314,20 +320,35 @@ struct DeepStats {
 }
 
 impl DeepStats {
-    fn run(
-        &mut self,
-        t: &mut Tracer,
-        cells: &[(&'static dyn Evaluator, Scenario)],
-        outcome: &mut Outcome,
-    ) -> Result<(), String> {
-        for (evaluator, scenario) in cells {
-            if self.cases.len() >= DEEP_CELLS {
-                break;
+    /// Deep-replays up to [`DEEP_CELLS`] of `cells`, taken round-robin over
+    /// the evaluators whose circuit [`case_of`] rebuilds, so each of them
+    /// is sampled alike whatever its share of the workload.
+    fn run(&mut self, t: &mut Tracer, cells: &[Cell], outcome: &mut Outcome) -> Result<(), String> {
+        let mut by_evaluator: Vec<(&str, Vec<&Cell>)> = Vec::new();
+        for cell in cells.iter().filter(|(e, _)| DEEP_EVALUATORS.contains(&e.name())) {
+            match by_evaluator.iter_mut().find(|(name, _)| *name == cell.0.name()) {
+                Some((_, group)) => group.push(cell),
+                None => by_evaluator.push((cell.0.name(), vec![cell])),
             }
+        }
+        let rounds = by_evaluator.iter().map(|(_, group)| group.len()).max().unwrap_or(0);
+        let sample = (0..rounds)
+            .flat_map(|k| by_evaluator.iter().filter_map(move |(_, group)| group.get(k)))
+            .take(DEEP_CELLS);
+        for (evaluator, scenario) in sample {
             if let Some((deep, same)) = deep_replay(t, *evaluator, scenario)? {
                 if !same {
                     outcome.mismatches.push(format!(
                         "{} solver replay differs from the evaluator's delay column",
+                        evaluator.name()
+                    ));
+                }
+                // The census reads kernels from telemetry; on the sampled
+                // cells it must agree with `TransientResult::backend()`.
+                let census = census(&[(*evaluator, scenario.clone())])?;
+                if census.cells != 1 || (census.sparse == 1.0) != deep.sparse {
+                    outcome.mismatches.push(format!(
+                        "{} kernel census disagrees with TransientResult::backend()",
                         evaluator.name()
                     ));
                 }
@@ -359,7 +380,7 @@ fn replay_all(
     requests: &[GenRequest],
     records: &[Record],
     caches: &mut Caches,
-    evaluated: &mut Vec<(&'static dyn Evaluator, Scenario)>,
+    evaluated: &mut Vec<Cell>,
     cell_bytes: &mut usize,
     outcome: &mut Outcome,
 ) -> Result<Vec<(f64, f64)>, String> {
@@ -467,7 +488,7 @@ fn cold_transient(
     );
     m.put(&format!("{w}.sparse.solve_us"), mean_self(&totals, "numeric.sparse.solve") * 1e6, "us");
     m.put(&format!("{w}.sparse.lu_nnz"), deep.mean(|d| d.lu_nnz as f64), "count");
-    put_transient(m, w, &deep);
+    put_transient(m, w, &deep, &census(&evaluated)?);
     m.put(
         &format!("{w}.netlist.parse_lower_ms"),
         mean_self(&totals, "netlist.parse_lower") * 1e3,
@@ -476,15 +497,61 @@ fn cold_transient(
     Ok(())
 }
 
-fn put_transient(m: &mut Metrics, w: &str, deep: &DeepStats) {
+/// Steps and solver kernel of every transient cell of a workload, read
+/// from the program's own telemetry: each cell is evaluated once more with
+/// the collector on and the pattern cache off, and its `transient.steps`
+/// counter and the kernels of the solves under `transient.stepping` are
+/// read back. Cells that run no transient (closed-form evaluators) are left
+/// out.
+#[derive(Debug, Default)]
+struct Census {
+    cells: usize,
+    steps: u64,
+    /// Sum over cells of the share of their stepping solves that ran on the
+    /// sparse kernel (1 or 0 for a cell whose transients share a kernel).
+    sparse: f64,
+}
+
+fn census(cells: &[Cell]) -> Result<Census, String> {
+    let _off = PatternCacheGuard::disable();
+    let _on = Collector::enable();
+    let mut census = Census::default();
+    for (evaluator, scenario) in cells {
+        Collector::reset();
+        evaluator.evaluate(scenario).map_err(|e| format!("{}: {e}", evaluator.name()))?;
+        let profile = Collector::snapshot();
+        let solves = |kernel: &str| -> u64 {
+            let leaf = format!("transient.stepping/{kernel}.solve");
+            profile.spans.iter().filter(|s| s.name.ends_with(&leaf)).map(|s| s.count).sum()
+        };
+        let sparse = solves("sparse");
+        let all = sparse + solves("banded") + solves("dense");
+        if all > 0 {
+            census.cells += 1;
+            census.steps += profile.counter("transient.steps").unwrap_or(0);
+            census.sparse += sparse as f64 / all as f64;
+        }
+    }
+    Collector::reset();
+    Ok(census)
+}
+
+/// `steps_per_cell` and `sparse_cell_share` over every transient cell (the
+/// census); `us_per_step` over the deep sample, timed with telemetry off.
+fn put_transient(m: &mut Metrics, w: &str, deep: &DeepStats, census: &Census) {
     let steps: usize = deep.cases.iter().map(|d| d.steps).sum();
     let seconds: f64 = deep.cases.iter().map(|d| d.transient_seconds).sum();
-    m.put(&format!("{w}.transient.steps_per_cell"), deep.mean(|d| d.steps as f64), "count");
+    let cells = census.cells.max(1) as f64;
+    m.put(&format!("{w}.transient.steps_per_cell"), census.steps as f64 / cells, "count");
     m.put(&format!("{w}.transient.us_per_step"), seconds * 1e6 / steps.max(1) as f64, "us");
-    m.put(
-        &format!("{w}.transient.sparse_cell_share"),
-        deep.mean(|d| f64::from(u8::from(d.sparse))),
-        "ratio",
+    m.put(&format!("{w}.transient.sparse_cell_share"), census.sparse / cells, "ratio");
+    eprintln!(
+        "{w}: kernel census of {} transient cells, {:.1} on the sparse kernel; {} cells \
+         deep-replayed, {} on the sparse kernel",
+        census.cells,
+        census.sparse,
+        deep.cases.len(),
+        deep.cases.iter().filter(|d| d.sparse).count()
     );
 }
 
@@ -615,16 +682,13 @@ fn figures_regen(t: &mut Tracer, m: &mut Metrics, outcome: &mut Outcome) -> Resu
         "ms",
     );
 
-    // Deep replays: every MOR-ladder cell and every tree cell, up to the cap.
+    // Deep replays of the MOR-ladder and tree cells, up to the cap.
     t.set_request("fr-solver");
     let mut deep = DeepStats::default();
-    let (ladders, rest): (Vec<_>, Vec<_>) =
-        cells.into_iter().partition(|(e, _)| e.name() == "reduced_delay");
-    deep.run(t, &ladders, outcome)?;
-    deep.run(t, &rest, outcome)?;
+    deep.run(t, &cells, outcome)?;
     let totals = t.layer_totals("fr-solver");
     m.put(&format!("{w}.reduce.prima_ms"), mean_self(&totals, "reduce.prima") * 1e3, "ms");
-    put_transient(m, w, &deep);
+    put_transient(m, w, &deep, &census(&cells)?);
     Ok(())
 }
 

@@ -63,6 +63,26 @@ pub fn percentile(values: &[f64], p: f64) -> Result<f64, String> {
     Ok(nearest_rank(values, p))
 }
 
+/// Most windows [`windowed_percentile`] splits a run into.
+pub const MAX_WINDOWS: usize = 10;
+
+/// Percentile `p` of `values`, taken in arrival order, as the median over
+/// consecutive windows of the percentile within each window. A run is cut
+/// into as many windows of at least 100 samples as it has, up to
+/// [`MAX_WINDOWS`], so each window supports a p90 by the rule above. A burst
+/// of host noise that slows a few seconds of a run then moves one or two
+/// windows, not the reported value; a slowdown that lasts through most of
+/// the run moves it fully. With fewer than 200 samples this is the plain
+/// percentile.
+pub fn windowed_percentile(values: &[f64], p: f64) -> Result<f64, String> {
+    let n = values.len();
+    let windows = (n / 100).clamp(1, MAX_WINDOWS);
+    let per_window = (0..windows)
+        .map(|w| percentile(&values[w * n / windows..(w + 1) * n / windows], p))
+        .collect::<Result<Vec<f64>, String>>()?;
+    Ok(median(&per_window))
+}
+
 /// The highest of the usual reporting percentiles that the sample supports
 /// (at least ten samples beyond it), with its value.
 pub fn highest_supported(values: &[f64]) -> Option<(f64, f64)> {
@@ -151,6 +171,30 @@ mod tests {
         assert_eq!(percentile(&v100, 90.0).unwrap(), 90.0);
         assert_eq!(highest_supported(&v100), Some((90.0, 90.0)));
         assert_eq!(highest_supported(&v48[..10]), None);
+    }
+
+    #[test]
+    fn windowed_percentile_takes_the_median_over_windows() {
+        // 1000 samples, ten windows of 100; one window is ten times slower.
+        let mut v: Vec<f64> = (0..1000).map(|i| f64::from(i % 100 + 1)).collect();
+        for x in &mut v[300..400] {
+            *x *= 10.0;
+        }
+        assert_eq!(windowed_percentile(&v, 90.0).unwrap(), 90.0);
+        assert_eq!(windowed_percentile(&v, 50.0).unwrap(), 50.0);
+        assert!(percentile(&v, 90.0).unwrap() > 90.0, "the plain p90 sees the slow window");
+        // A slowdown through most of the run moves it.
+        for x in &mut v[..700] {
+            *x *= 10.0;
+        }
+        assert_eq!(windowed_percentile(&v, 90.0).unwrap(), 900.0);
+        // Under 200 samples it is the plain percentile, with the same rule.
+        let v150: Vec<f64> = (1..=150).map(f64::from).collect();
+        assert_eq!(windowed_percentile(&v150, 90.0), percentile(&v150, 90.0));
+        assert!(windowed_percentile(&v150[..99], 90.0).is_err());
+        // Windows stop at ten, however long the run.
+        let v5000: Vec<f64> = (0..5000).map(|i| f64::from(i % 500 + 1)).collect();
+        assert_eq!(windowed_percentile(&v5000, 90.0).unwrap(), 450.0);
     }
 
     #[test]
