@@ -2,7 +2,7 @@
 # Builds rlckit-server and the benchmark from source, then runs the
 # benchmark with the given arguments, e.g.
 #   bash perfbench/run.sh --workload cold_transient --seed 1 --seconds 15 --trace 0
-#   bash perfbench/run.sh --steadiness 10 --workload reuse_open --seed 1 --seconds 15
+#   bash perfbench/run.sh --steadiness 10 --workload reuse_closed --seed 1 --seconds 15
 #   bash perfbench/run.sh --list
 # Run it from the repository root. Build output, traces and scratch result
 # stores go under $CARGO_TARGET_DIR (default .bench_build).

@@ -1,5 +1,5 @@
 //! Driving the real `rlckit-server` binary over TCP: spawning it, reading
-//! its reply lines, and the closed- and open-loop load generators.
+//! its reply lines, and the closed-loop load generator.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -8,7 +8,6 @@ use std::process::{Child, ChildStderr, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::gen::GenRequest;
 use crate::stats::{Ending, Timing};
 
 /// A running daemon, shut down gracefully by [`Daemon::stop`] and killed on
@@ -168,18 +167,22 @@ impl Conn {
             Err(e) => Err(format!("recv: {e}")),
         }
     }
-
-    /// Splits into independent read and write halves for pipelining.
-    fn split(self) -> (BufReader<TcpStream>, TcpStream) {
-        (self.reader, self.writer)
-    }
 }
 
 /// The text of field `key` in a flat reply line: a number, `true`/`false`,
 /// a string's contents, or an array's raw text without brackets.
 pub fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
+    // Finds `"key":` without building the pattern: the client reads a line
+    // per cell, and allocating here would compete with the daemon for CPU.
+    let mut from = 0;
+    let start = loop {
+        let at = from + line[from..].find(key)?;
+        let end = at + key.len();
+        if line[..at].ends_with('"') && line[end..].starts_with("\":") {
+            break end + 2;
+        }
+        from = at + 1;
+    };
     let rest = &line[start..];
     if let Some(s) = rest.strip_prefix('"') {
         return s.find('"').map(|e| &s[..e]);
@@ -196,15 +199,12 @@ pub fn number(line: &str, key: &str) -> Option<u64> {
     field(line, key)?.parse().ok()
 }
 
-/// One answered cell.
-#[derive(Debug, Clone)]
-pub struct CellReply {
-    /// Row-major cell index.
-    pub index: usize,
-    /// The raw `values` array text, or `None` for a failed cell.
-    pub values: Option<String>,
-    /// Whether the daemon replayed the row from its result cache.
-    pub cached: bool,
+/// FNV-1a digest of a cell's `values` text or of a scenario key. Records
+/// and the correctness check keep digests rather than the text, since a run
+/// at the daemon's full rate answers millions of cells.
+pub fn digest(text: &str) -> u64 {
+    text.bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
 
 /// Everything the client saw of one request.
@@ -214,24 +214,33 @@ pub struct Record {
     pub request: usize,
     /// Timing and ending.
     pub timing: Timing,
-    /// The cell lines, in arrival order.
-    pub cells: Vec<CellReply>,
+    /// [`digest`] of each cell line's raw `values` array text, in arrival
+    /// order (`None` for a failed cell).
+    pub cells: Vec<Option<u64>>,
+    /// The raw `values` text of each cell line (`None` for a failed cell),
+    /// kept only by [`round_trip`].
+    pub values: Vec<Option<String>>,
+    /// Whether cell `k` was the `k`-th cell line, for every cell.
+    pub in_order: bool,
     /// `(evaluated, cached, failed, cancelled)` from the `done` line.
     pub done: Option<[u64; 4]>,
 }
 
-/// Reads the replies of one request; times are seconds since `epoch`.
+/// Reads the replies of one request sent at `sent` seconds after `epoch`,
+/// keeping each cell's `values` text if `keep_values`.
 fn read_reply(
     reader: &mut BufReader<TcpStream>,
     epoch: Instant,
     request: usize,
-    due: f64,
     sent: f64,
+    keep_values: bool,
 ) -> Result<Record, String> {
     let mut record = Record {
         request,
-        timing: Timing { due, sent, first_cell: None, end: 0.0, ending: Ending::Done },
+        timing: Timing { sent, first_cell: None, end: 0.0, ending: Ending::Done },
         cells: Vec::new(),
+        values: Vec::new(),
+        in_order: true,
         done: None,
     };
     let mut line = String::new();
@@ -245,11 +254,13 @@ fn read_reply(
             Some("ack") => {}
             Some("cell") => {
                 record.timing.first_cell.get_or_insert(now);
-                record.cells.push(CellReply {
-                    index: number(&line, "index").ok_or("cell without index")? as usize,
-                    values: field(&line, "values").map(str::to_owned),
-                    cached: field(&line, "cached") == Some("true"),
-                });
+                let index = number(&line, "index").ok_or("cell without index")? as usize;
+                record.in_order &= index == record.cells.len();
+                let values = field(&line, "values");
+                record.cells.push(values.map(digest));
+                if keep_values {
+                    record.values.push(values.map(str::to_owned));
+                }
             }
             Some("done") => {
                 let counts = ["evaluated", "cached", "failed", "cancelled"]
@@ -275,7 +286,8 @@ fn read_reply(
     }
 }
 
-/// Sends one request and reads its replies on an idle connection.
+/// Sends one request and reads its replies, `values` text included, on an
+/// idle connection.
 pub fn round_trip(
     conn: &mut Conn,
     epoch: Instant,
@@ -284,19 +296,19 @@ pub fn round_trip(
 ) -> Result<Record, String> {
     let sent = epoch.elapsed().as_secs_f64();
     conn.send(line)?;
-    read_reply(&mut conn.reader, epoch, request, sent, sent)
+    read_reply(&mut conn.reader, epoch, request, sent, true)
 }
 
 /// Closed loop: `clients` connections each send their next request (the
 /// line `request(i)` gives for the next unsent index `i`) as soon as the
 /// previous `done` arrives, until `seconds` have passed or `request` has no
-/// more. Returns every completed request and the wall time.
+/// more. Returns every completed request, without `values` text.
 pub fn closed_loop(
     daemon: &Daemon,
     request: &(dyn Fn(usize) -> Option<String> + Sync),
     clients: usize,
     seconds: f64,
-) -> Result<(Vec<Record>, f64), String> {
+) -> Result<Vec<Record>, String> {
     let next = AtomicUsize::new(0);
     let epoch = Instant::now();
     let results: Vec<Result<Vec<Record>, String>> = std::thread::scope(|s| {
@@ -309,7 +321,9 @@ pub fn closed_loop(
                     while epoch.elapsed().as_secs_f64() < seconds {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(line) = request(i) else { break };
-                        records.push(round_trip(&mut conn, epoch, i, &line)?);
+                        let sent = epoch.elapsed().as_secs_f64();
+                        conn.send(&line)?;
+                        records.push(read_reply(&mut conn.reader, epoch, i, sent, false)?);
                     }
                     Ok(records)
                 })
@@ -317,67 +331,12 @@ pub fn closed_loop(
             .collect();
         handles.into_iter().map(|h| h.join().expect("client thread panicked")).collect()
     });
-    let elapsed = epoch.elapsed().as_secs_f64();
     let mut records = Vec::new();
     for r in results {
         records.extend(r?);
     }
     records.sort_by_key(|r| r.request);
-    Ok((records, elapsed))
-}
-
-/// Open loop: request `i` goes to connection `i % connections` at its due
-/// time, whether or not earlier requests have completed (requests pipeline
-/// on a connection). Returns every request's record and the wall time until
-/// the last reply.
-pub fn open_loop(
-    daemon: &Daemon,
-    stream: &[GenRequest],
-    connections: usize,
-) -> Result<(Vec<Record>, f64), String> {
-    let conns: Vec<Conn> = (0..connections).map(|_| daemon.connect()).collect::<Result<_, _>>()?;
-    let epoch = Instant::now();
-    let results: Vec<Result<Vec<Record>, String>> = std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for (c, conn) in conns.into_iter().enumerate() {
-            let mine: Vec<usize> = (c..stream.len()).step_by(connections).collect();
-            let (mut reader, mut writer) = conn.split();
-            let (tx, rx) = std::sync::mpsc::channel::<(usize, f64)>();
-            let sends = mine.clone();
-            s.spawn(move || {
-                for i in sends {
-                    let due = stream[i].due_s;
-                    let wait = due - epoch.elapsed().as_secs_f64();
-                    if wait > 0.0 {
-                        std::thread::sleep(Duration::from_secs_f64(wait));
-                    }
-                    let sent = epoch.elapsed().as_secs_f64();
-                    let mut buf = stream[i].line.clone().into_bytes();
-                    buf.push(b'\n');
-                    if writer.write_all(&buf).is_err() || tx.send((i, sent)).is_err() {
-                        return;
-                    }
-                }
-            });
-            handles.push(s.spawn(move || -> Result<Vec<Record>, String> {
-                let mut records = Vec::with_capacity(mine.len());
-                for &i in &mine {
-                    let (j, sent) = rx.recv().map_err(|_| "open-loop writer stopped".to_owned())?;
-                    debug_assert_eq!(i, j);
-                    records.push(read_reply(&mut reader, epoch, i, stream[i].due_s, sent)?);
-                }
-                Ok(records)
-            }));
-        }
-        handles.into_iter().map(|h| h.join().expect("reader thread panicked")).collect()
-    });
-    let elapsed = epoch.elapsed().as_secs_f64();
-    let mut records = Vec::new();
-    for r in results {
-        records.extend(r?);
-    }
-    records.sort_by_key(|r| r.request);
-    Ok((records, elapsed))
+    Ok(records)
 }
 
 #[cfg(test)]

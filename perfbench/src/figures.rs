@@ -247,7 +247,7 @@ pub fn through_daemon(daemon: &Daemon) -> Result<f64, String> {
             if record.done.is_none() || record.timing.is_failure() {
                 return Err(format!("figure request {line} did not complete"));
             }
-            rows.extend(record.cells.iter().map(|c| c.values.as_deref().map(parse_values)));
+            rows.extend(record.values.iter().map(|v| v.as_deref().map(parse_values)));
         }
         let agree = rows.len() == expected.len()
             && rows

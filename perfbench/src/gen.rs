@@ -20,9 +20,6 @@ pub struct GenRequest {
     /// Identity of each cell's scenario, in cell-index order: the evaluator
     /// plus every parameter the cell sets, as written on the wire.
     pub cell_keys: Vec<String>,
-    /// Open-loop due time in seconds from the start of measurement
-    /// (0 for closed-loop and warm-up requests).
-    pub due_s: f64,
 }
 
 impl GenRequest {
@@ -31,7 +28,6 @@ impl GenRequest {
         evaluator: &'static str,
         base: &[(&str, String)],
         axis: (&str, Vec<String>),
-        due_s: f64,
     ) -> Self {
         let mut line = format!("{{\"id\":\"{id}\",\"evaluator\":\"{evaluator}\"");
         let mut base_key = String::from(evaluator);
@@ -51,7 +47,7 @@ impl GenRequest {
             values.join(",")
         );
         let cell_keys = values.iter().map(|v| format!("{base_key}|{param}={v}")).collect();
-        Self { id, line, cell_keys, due_s }
+        Self { id, line, cell_keys }
     }
 
     /// Number of cells the request expands to.
@@ -218,7 +214,6 @@ impl ColdStream {
                 family.evaluator,
                 &base,
                 ("line_length_mm", lengths),
-                0.0,
             ));
         }
     }
@@ -229,76 +224,113 @@ pub fn cold_transient(seed: u64, count: usize) -> Vec<GenRequest> {
     ColdStream::new(seed).take(count)
 }
 
-/// Open-loop arrival rate of `reuse_open`, requests per second: about a
-/// tenth of the daemon's capacity on this stream. `perfbench --capacity`
-/// measures that capacity (2 clients sending the same requests back to
-/// back); on a 2-vCPU machine it gave a median of 1200 req/s (1140 to
-/// 1260 over three seeds), so queueing adds little to a request's latency
-/// while a 20 s run still gives 2300 latency samples.
-pub const REUSE_RATE_PER_S: f64 = 115.0;
+/// Hot scenarios of `reuse_closed` per evaluator: Zipf ranks up to this
+/// one name a fixed scenario that the warm-up answers first, so every later
+/// draw of it reads the memo. A rank beyond it stands for a fresh scenario
+/// that no earlier request had. Under the Zipf law below, about 73% of the
+/// cells fall on the hot set, and that share stays the same however many
+/// requests a run gets through.
+const REUSE_HOT: usize = 6144;
 
-/// Scenario universe of `reuse_open` per evaluator; cells draw ranks from a
-/// Zipf law over it, so low ranks repeat and high ranks are mostly fresh.
+/// Zipf ranks per evaluator that cells of `reuse_closed` are drawn from.
 const REUSE_UNIVERSE: usize = 200_000;
 
-/// Zipf exponent of `reuse_open` cell draws.
+/// Zipf exponent of `reuse_closed` cell draws.
 const REUSE_ZIPF_S: f64 = 1.1;
 
-/// Warm-up requests per evaluator that seed the hot set before measuring.
-const REUSE_WARMUP_PER_EVALUATOR: usize = 4;
+/// Cells per warm-up request; the warm-up answers every hot scenario once.
+const REUSE_WARMUP_CELLS: usize = 256;
 
-/// The closed-form evaluators of `reuse_open`, with their request shares.
+/// The closed-form evaluators of `reuse_closed`, with their request shares.
 const CLOSED_FORM: [(&str, f64); 3] =
     [("delay_model", 0.4), ("repeater_optimum", 0.3), ("repeater_design_point", 0.3)];
 
-/// Line length of the scenario at Zipf rank `rank` (1-based): distinct per
-/// rank and always a valid wire.
-fn reuse_length(rank: usize) -> String {
+/// Line length of the hot scenario at Zipf rank `rank` (1-based).
+fn hot_length(rank: usize) -> String {
     format!("{}", 1.0 + rank as f64 * 2.5e-4)
 }
 
-fn reuse_request(id: String, evaluator: &'static str, ranks: &[usize], due_s: f64) -> GenRequest {
-    let values = ranks.iter().map(|&r| reuse_length(r)).collect();
-    GenRequest::new(id, evaluator, &[], ("line_length_mm", values), due_s)
+/// Line length of the `k`-th fresh scenario of a stream: distinct for every
+/// `k` and longer than every hot length.
+fn fresh_length(k: usize) -> String {
+    format!("{}", 10.0 + k as f64 * 1e-6)
 }
 
-/// The `reuse_open` stream: warm-up requests (ranks 1..=256 of every
-/// evaluator, sent before measuring) followed by requests due on a seeded
-/// Poisson schedule over `seconds`. The schedule is a Poisson process
-/// conditioned on its count: exactly `rate · seconds` arrivals at uniform
-/// random times, so the offered load is the same for every seed. Each
-/// scheduled request is a 16–256-cell sweep of one closed-form evaluator
-/// whose cells are distinct Zipf draws.
-pub fn reuse_open(seed: u64, seconds: f64) -> (Vec<GenRequest>, Vec<GenRequest>) {
-    let warmup = CLOSED_FORM
+fn reuse_request(id: String, evaluator: &'static str, lengths: Vec<String>) -> GenRequest {
+    GenRequest::new(id, evaluator, &[], ("line_length_mm", lengths))
+}
+
+/// The `reuse_closed` warm-up: every hot scenario of every evaluator once,
+/// in requests of [`REUSE_WARMUP_CELLS`] cells, sent before measuring.
+pub fn reuse_warmup() -> Vec<GenRequest> {
+    CLOSED_FORM
         .iter()
         .flat_map(|&(evaluator, _)| {
-            (0..REUSE_WARMUP_PER_EVALUATOR).map(move |k| {
-                let ranks: Vec<usize> = (k * 64 + 1..=(k + 1) * 64).collect();
-                reuse_request(format!("rw-{evaluator}-{k}"), evaluator, &ranks, 0.0)
+            (0..REUSE_HOT / REUSE_WARMUP_CELLS).map(move |k| {
+                let ranks = k * REUSE_WARMUP_CELLS + 1..=(k + 1) * REUSE_WARMUP_CELLS;
+                reuse_request(
+                    format!("rw-{evaluator}-{k}"),
+                    evaluator,
+                    ranks.map(hot_length).collect(),
+                )
             })
         })
-        .collect();
-    let mut rng = Rng::new(seed, "reuse_open");
-    let weights: Vec<f64> = CLOSED_FORM.iter().map(|&(_, w)| w).collect();
-    let count = (REUSE_RATE_PER_S * seconds).round() as usize;
-    let mut dues: Vec<f64> = (0..count).map(|_| rng.unit() * seconds).collect();
-    dues.sort_by(f64::total_cmp);
-    let mut scheduled = Vec::with_capacity(count);
-    for due in dues {
-        let evaluator = CLOSED_FORM[rng.weighted(&weights)].0;
-        let cells = rng.range(16, 256);
-        let mut ranks = Vec::with_capacity(cells);
-        let mut in_request = HashSet::new();
-        while ranks.len() < cells {
-            let rank = rng.zipf(REUSE_UNIVERSE, REUSE_ZIPF_S);
-            if in_request.insert(rank) {
-                ranks.push(rank);
+        .collect()
+}
+
+/// The `reuse_closed` stream: 16–256-cell sweeps of one closed-form
+/// evaluator each, whose cells are distinct Zipf draws — a hot scenario
+/// (a memo read) or a fresh one (a memo write).
+///
+/// Like [`ColdStream`], it has no end. It keeps only the requests generated
+/// but not yet handed out, since a run at the daemon's full rate asks for
+/// tens of thousands of them; [`ReuseStream::get`] gives each index once.
+pub struct ReuseStream {
+    rng: Rng,
+    fresh: usize,
+    next: usize,
+    pending: std::collections::BTreeMap<usize, GenRequest>,
+}
+
+impl ReuseStream {
+    /// The stream of `seed`, nothing generated yet.
+    pub fn new(seed: u64) -> Self {
+        Self { rng: Rng::new(seed, "reuse_closed"), fresh: 0, next: 0, pending: Default::default() }
+    }
+
+    /// Request `i`, generating up to it as needed. Each index is handed out
+    /// once; asking again for one already given out is a bug.
+    pub fn get(&mut self, i: usize) -> GenRequest {
+        while self.next <= i {
+            let request = self.generate();
+            self.pending.insert(self.next, request);
+            self.next += 1;
+        }
+        self.pending.remove(&i).expect("each reuse_closed request is taken once")
+    }
+
+    /// The first `count` requests.
+    pub fn take(mut self, count: usize) -> Vec<GenRequest> {
+        (0..count).map(|i| self.get(i)).collect()
+    }
+
+    fn generate(&mut self) -> GenRequest {
+        let weights: Vec<f64> = CLOSED_FORM.iter().map(|&(_, w)| w).collect();
+        let evaluator = CLOSED_FORM[self.rng.weighted(&weights)].0;
+        let cells = self.rng.range(16, 256);
+        let mut lengths = Vec::with_capacity(cells);
+        let mut hot_in_request = HashSet::new();
+        while lengths.len() < cells {
+            let rank = self.rng.zipf(REUSE_UNIVERSE, REUSE_ZIPF_S);
+            if rank > REUSE_HOT {
+                lengths.push(fresh_length(self.fresh));
+                self.fresh += 1;
+            } else if hot_in_request.insert(rank) {
+                lengths.push(hot_length(rank));
             }
         }
-        scheduled.push(reuse_request(format!("ro-{:05}", scheduled.len()), evaluator, &ranks, due));
+        reuse_request(format!("rc-{:05}", self.next), evaluator, lengths)
     }
-    (warmup, scheduled)
 }
 
 /// The NDJSON text of a stream, one request per line.
@@ -314,12 +346,14 @@ mod tests {
     fn same_seed_gives_a_byte_identical_stream() {
         assert_eq!(dump(&cold_transient(3, 200)), dump(&cold_transient(3, 200)));
         assert_ne!(dump(&cold_transient(3, 200)), dump(&cold_transient(4, 200)));
-        let (wa, sa) = reuse_open(3, 5.0);
-        let (wb, sb) = reuse_open(3, 5.0);
-        assert_eq!(dump(&wa), dump(&wb));
-        assert_eq!(dump(&sa), dump(&sb));
-        assert!(sa.iter().zip(&sb).all(|(a, b)| a.due_s.to_bits() == b.due_s.to_bits()));
-        assert_ne!(dump(&sa), dump(&reuse_open(4, 5.0).1));
+        let a = ReuseStream::new(3).take(300);
+        assert_eq!(dump(&a), dump(&ReuseStream::new(3).take(300)));
+        assert_ne!(dump(&a), dump(&ReuseStream::new(4).take(300)));
+        // Handing requests out in any order gives the same stream.
+        let mut lazy = ReuseStream::new(3);
+        let late = lazy.get(120);
+        assert_eq!(late.line, a[120].line);
+        assert_eq!(lazy.get(7).line, a[7].line);
     }
 
     #[test]
@@ -353,9 +387,9 @@ mod tests {
     #[test]
     fn every_generated_line_is_a_valid_request() {
         use rlckit_server::request::{parse_line, Request};
-        let (warmup, scheduled) = reuse_open(5, 2.0);
+        let reuse = ReuseStream::new(5).take(100);
         let cold = cold_transient(5, 100);
-        for r in warmup.iter().chain(&scheduled).chain(&cold) {
+        for r in reuse_warmup().iter().chain(&reuse).chain(&cold) {
             match parse_line(&r.line) {
                 Ok(Request::Evaluate(job)) => assert_eq!(job.cells.len(), r.cells()),
                 _ => panic!("invalid request line {}", r.line),
@@ -364,11 +398,26 @@ mod tests {
     }
 
     #[test]
-    fn open_loop_schedule_runs_at_the_stated_rate() {
-        let (_, scheduled) = reuse_open(9, 60.0);
-        assert_eq!(scheduled.len() as f64, REUSE_RATE_PER_S * 60.0);
-        assert!(scheduled.iter().all(|r| (0.0..60.0).contains(&r.due_s)));
-        assert!(scheduled.windows(2).all(|w| w[0].due_s < w[1].due_s));
-        assert!(scheduled.iter().all(|r| (16..=256).contains(&r.cells())));
+    fn reuse_cells_repeat_only_the_warmed_hot_set() {
+        let hot: HashSet<String> =
+            reuse_warmup().iter().flat_map(|r| r.cell_keys.clone()).collect();
+        assert_eq!(hot.len(), CLOSED_FORM.len() * REUSE_HOT);
+        let longest_hot: f64 = hot_length(REUSE_HOT).parse().unwrap();
+        assert!(fresh_length(0).parse::<f64>().unwrap() > longest_hot);
+        let mut fresh = HashSet::new();
+        let (mut cells, mut hits) = (0, 0);
+        for r in ReuseStream::new(9).take(2000) {
+            assert!((16..=256).contains(&r.cells()));
+            for k in &r.cell_keys {
+                cells += 1;
+                if hot.contains(k) {
+                    hits += 1;
+                } else {
+                    assert!(fresh.insert(k.clone()), "fresh scenario {k} repeats");
+                }
+            }
+        }
+        let share = hits as f64 / cells as f64;
+        assert!((0.68..0.78).contains(&share), "hot share {share}");
     }
 }

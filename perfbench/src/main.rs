@@ -5,7 +5,6 @@
 //! perfbench --list
 //! perfbench --steadiness RUNS --workload NAME --seed FIRST --seconds S [--server PATH]
 //! perfbench --dump --workload NAME --seed N --seconds S
-//! perfbench --capacity --workload reuse_open --seed N --seconds S [--server PATH]
 //! perfbench --workload figures_regen --figure-setup   # one cold pass, in a child
 //! ```
 //!
@@ -37,12 +36,15 @@ use rlckit_sweep::SweepOptions;
 
 use crate::client::{Daemon, Record};
 use crate::figures::{parse_values, rows_agree};
-use crate::gen::GenRequest;
+use crate::gen::{GenRequest, ReuseStream};
 use crate::rng::Rng;
-use crate::stats::{highest_supported, median, percentile, quartiles, spread, windowed_percentile};
+use crate::stats::{
+    highest_supported, median, percentile, quartiles, spread, windowed_percentile, windowed_rate,
+};
+use std::collections::HashMap;
 
 /// The workloads, in `BENCHMARK.json` order.
-const WORKLOADS: [&str; 3] = ["cold_transient", "reuse_open", "figures_regen"];
+const WORKLOADS: [&str; 3] = ["cold_transient", "reuse_closed", "figures_regen"];
 
 /// Connections and client threads of the daemon workloads (the machine's
 /// `nproc`).
@@ -55,20 +57,17 @@ const REUSE_LIMIT_S: f64 = 0.05;
 const FIGURE_CELL_LIMIT_S: f64 = 0.5;
 /// Daemon spawns whose median is `setup_s`.
 const COLD_SETUPS: usize = 5;
-const REUSE_SETUPS: usize = 3;
+const REUSE_SETUPS: usize = 5;
 /// Fresh cells per run re-evaluated in process as a correctness check.
 const CHECK_SAMPLE: usize = 8;
 /// Timed figure passes at least, whatever `--seconds` says.
 const MIN_FIGURE_PASSES: usize = 4;
 /// Fresh processes whose first figure pass gives `setup_s` (median).
 const FIGURE_SETUPS: usize = 3;
-/// Requests per second of `--seconds` that `--dump` writes of the endless
-/// `cold_transient` stream, several times the 14–18 req/s the daemon
-/// sustains on 2 vCPUs.
-const COLD_DUMP_PER_S: f64 = 100.0;
-/// Closed-loop passes over the `reuse_open` requests that `--capacity`
-/// times (median).
-const CAPACITY_PASSES: usize = 3;
+/// Requests per second of `--seconds` that `--dump` writes of an endless
+/// stream: several times the rate the daemon sustains on 2 vCPUs for
+/// `cold_transient` (14–18 req/s), and about that rate for `reuse_closed`.
+const DUMP_PER_S: [(&str, f64); 2] = [("cold_transient", 100.0), ("reuse_closed", 1500.0)];
 
 /// Named metric values with units, in insertion order.
 #[derive(Debug, Default)]
@@ -103,20 +102,19 @@ struct RunResult {
 fn daemon_metrics(
     m: &mut Metrics,
     records: &[Record],
-    wall: f64,
     limit_s: f64,
     setup_s: f64,
     figures_s: f64,
     rss_mb: f64,
 ) -> Result<(), String> {
     let latencies: Vec<f64> = records.iter().map(|r| r.timing.latency() * 1e3).collect();
-    let first: Vec<f64> = records
-        .iter()
-        .filter_map(|r| r.timing.first_cell.map(|f| (f - r.timing.due) * 1e3))
-        .collect();
-    let done = records.iter().filter(|r| !r.timing.is_failure()).count();
-    let good = records.iter().filter(|r| r.timing.is_good(limit_s)).count();
-    let cells: usize = records.iter().map(|r| r.cells.len()).sum();
+    let first: Vec<f64> =
+        records.iter().filter_map(|r| r.timing.first_cell_latency().map(|f| f * 1e3)).collect();
+    let mut by_end: Vec<&Record> = records.iter().collect();
+    by_end.sort_by(|a, b| a.timing.end.total_cmp(&b.timing.end));
+    let rate = |weight: &dyn Fn(&Record) -> f64| {
+        windowed_rate(&by_end.iter().map(|r| (r.timing.end, weight(r))).collect::<Vec<_>>())
+    };
     if let Some((p, v)) = highest_supported(&latencies) {
         eprintln!(
             "latency: {} requests, highest supported percentile p{p} = {v:.3} ms",
@@ -124,12 +122,12 @@ fn daemon_metrics(
         );
     }
     m.put("setup_s", setup_s, "s");
-    m.put("throughput_rps", done as f64 / wall, "1/s");
-    m.put("cells_per_s", cells as f64 / wall, "1/s");
+    m.put("throughput_rps", rate(&|r| if r.timing.is_failure() { 0.0 } else { 1.0 }), "1/s");
+    m.put("cells_per_s", rate(&|r| r.cells.len() as f64), "1/s");
     m.put("latency_p50_ms", windowed_percentile(&latencies, 50.0)?, "ms");
     m.put("latency_p90_ms", windowed_percentile(&latencies, 90.0)?, "ms");
     m.put("first_cell_p50_ms", windowed_percentile(&first, 50.0)?, "ms");
-    m.put("goodput_rps", good as f64 / wall, "1/s");
+    m.put("goodput_rps", rate(&|r| if r.timing.is_good(limit_s) { 1.0 } else { 0.0 }), "1/s");
     m.put("figures_s", figures_s, "s");
     m.put("peak_rss_mb", rss_mb, "MiB");
     Ok(())
@@ -139,66 +137,101 @@ fn daemon_metrics(
 /// sample of fresh cells) agreement with an in-process evaluation with the
 /// pattern cache off.
 struct Checker {
-    first: std::collections::HashMap<String, String>,
-    fresh: Vec<(String, String, usize)>,
+    /// Digest of each scenario's key, and of its first answer.
+    first: HashMap<u64, u64>,
+    /// Fresh cells seen so far.
+    fresh_seen: usize,
+    /// A seeded reservoir sample of the fresh cells: request line, cell
+    /// index and digest of the first answer.
+    sample: Vec<(String, usize, u64)>,
+    rng: Rng,
     mismatches: Vec<String>,
 }
 
 impl Checker {
-    fn new() -> Self {
-        Self { first: Default::default(), fresh: Vec::new(), mismatches: Vec::new() }
+    fn new(seed: u64) -> Self {
+        Self {
+            first: HashMap::new(),
+            fresh_seen: 0,
+            sample: Vec::new(),
+            rng: Rng::new(seed, "check"),
+            mismatches: Vec::new(),
+        }
     }
 
-    fn records(&mut self, stream: &[GenRequest], records: &[Record]) {
-        for record in records {
-            let request = &stream[record.request];
-            let Some(done) = record.done else { continue };
-            let answered = record.cells.len() as u64;
-            if done.iter().sum::<u64>() != request.cells() as u64
-                || answered + done[3] != request.cells() as u64
-            {
-                self.mismatches
-                    .push(format!("{}: done line does not account for every cell", request.id));
-            }
-            for (k, cell) in record.cells.iter().enumerate() {
-                if cell.index != k {
-                    self.mismatches
-                        .push(format!("{}: cell {} out of order", request.id, cell.index));
-                }
-                let Some(values) = &cell.values else { continue };
-                let key = &request.cell_keys[cell.index];
-                match self.first.get(key) {
-                    Some(prev) if prev != values => {
-                        self.mismatches.push(format!("{}: answer for {key} changed", request.id));
-                    }
-                    Some(_) => {}
-                    None => {
-                        self.first.insert(key.clone(), values.clone());
-                        self.fresh.push((request.line.clone(), values.clone(), cell.index));
+    /// Checks the record of `request`.
+    fn record(&mut self, request: &GenRequest, record: &Record) {
+        let Some(done) = record.done else { return };
+        let answered = record.cells.len() as u64;
+        if done.iter().sum::<u64>() != request.cells() as u64
+            || answered + done[3] != request.cells() as u64
+        {
+            self.mismatches
+                .push(format!("{}: done line does not account for every cell", request.id));
+        }
+        // No request carries a deadline, so no cell is cancelled and the
+        // k-th cell line must answer cell k.
+        if !record.in_order {
+            self.mismatches.push(format!("{}: cells out of order", request.id));
+        }
+        for (index, &answer) in record.cells.iter().enumerate() {
+            let Some(answer) = answer else { continue };
+            let key = client::digest(&request.cell_keys[index]);
+            match self.first.get(&key) {
+                Some(&prev) if prev != answer => self.mismatches.push(format!(
+                    "{}: answer for {} changed",
+                    request.id, request.cell_keys[index]
+                )),
+                Some(_) => {}
+                None => {
+                    self.first.insert(key, answer);
+                    // Reservoir sampling keeps each fresh cell with equal chance.
+                    self.fresh_seen += 1;
+                    if self.sample.len() < CHECK_SAMPLE {
+                        self.sample.push((request.line.clone(), index, answer));
+                    } else {
+                        let slot = self.rng.range(0, self.fresh_seen - 1);
+                        if slot < CHECK_SAMPLE {
+                            self.sample[slot] = (request.line.clone(), index, answer);
+                        }
                     }
                 }
             }
         }
     }
 
-    /// Re-evaluates a seeded sample of first answers in process.
-    fn sample(&mut self, seed: u64) {
-        let mut rng = Rng::new(seed, "check");
-        for _ in 0..CHECK_SAMPLE.min(self.fresh.len()) {
-            let (line, values, index) = &self.fresh[rng.range(0, self.fresh.len() - 1)];
-            let Ok(Request::Evaluate(job)) = parse_line(line) else {
+    /// Asks the daemon again for each sampled fresh cell: the answer must be
+    /// the first answer byte for byte (the daemon replays it from its memo),
+    /// and must agree with `Evaluator::evaluate` run in process.
+    fn sample(&mut self, daemon: &Daemon) -> Result<(), String> {
+        let mut conn = daemon.connect()?;
+        for (line, index, first) in std::mem::take(&mut self.sample) {
+            let Ok(Request::Evaluate(job)) = parse_line(&line) else {
                 self.mismatches.push(format!("generated line does not parse: {line}"));
                 continue;
             };
-            let got = parse_values(values);
-            match job.evaluator.evaluate(&job.cells[*index].scenario) {
-                Ok(want) if rows_agree(&got, &want, 1e-9) => {}
+            let record = client::round_trip(&mut conn, Instant::now(), 0, &line)?;
+            let Some(Some(values)) = record.values.get(index) else {
+                self.mismatches.push(format!("{} cell {index} failed when asked again", job.id));
+                continue;
+            };
+            if client::digest(values) != first {
+                self.mismatches.push(format!("{} cell {index} changed when asked again", job.id));
+            }
+            match job.evaluator.evaluate(&job.cells[index].scenario) {
+                Ok(want) if rows_agree(&parse_values(values), &want, 1e-9) => {}
                 _ => self
                     .mismatches
                     .push(format!("{} cell {index} disagrees with Evaluator::evaluate", job.id)),
             }
         }
+        Ok(())
     }
+}
+
+/// Cells the daemon answered from its result cache in `records`.
+fn memo_hits(records: &[Record]) -> u64 {
+    records.iter().filter_map(|r| r.done.map(|d| d[1])).sum()
 }
 
 fn run_cold_transient(server: &Path, seed: u64, seconds: f64) -> Result<RunResult, String> {
@@ -215,20 +248,23 @@ fn run_cold_transient(server: &Path, seed: u64, seconds: f64) -> Result<RunResul
     let daemon = daemon.expect("at least one setup");
     let source = std::sync::Mutex::new(gen::ColdStream::new(seed));
     let request = |i: usize| Some(source.lock().expect("stream lock").get(i).line.clone());
-    let (records, wall) = client::closed_loop(&daemon, &request, CLIENTS, seconds)?;
+    let records = client::closed_loop(&daemon, &request, CLIENTS, seconds)?;
     let sent = records.iter().map(|r| r.request + 1).max().unwrap_or(0);
     let stream = source.into_inner().expect("stream lock").take(sent);
     let stats = daemon.stats()?;
+
+    let mut check = Checker::new(seed);
+    for record in &records {
+        check.record(&stream[record.request], record);
+    }
+    if memo_hits(&records) > 0 {
+        check.mismatches.push("cold_transient hit the result cache".to_owned());
+    }
+    check.sample(&daemon)?;
     let figures_s = figures::through_daemon(&daemon)?;
     let rss = daemon.peak_rss_mb()?;
     daemon.stop()?;
 
-    let mut check = Checker::new();
-    check.records(&stream, &records);
-    check.sample(seed);
-    if records.iter().any(|r| r.cells.iter().any(|c| c.cached)) {
-        check.mismatches.push("cold_transient hit the result cache".to_owned());
-    }
     let pattern = &stats[stats.find("\"pattern\"").unwrap_or(0)..];
     let hits = client::number(pattern, "refactor_hits").unwrap_or(0) as f64;
     let lookups = ["value_hits", "refactor_hits", "misses"]
@@ -241,7 +277,7 @@ fn run_cold_transient(server: &Path, seed: u64, seconds: f64) -> Result<RunResul
         hits / lookups.max(1.0)
     );
     let mut metrics = Metrics::default();
-    daemon_metrics(&mut metrics, &records, wall, COLD_LIMIT_S, median(&setups), figures_s, rss)?;
+    daemon_metrics(&mut metrics, &records, COLD_LIMIT_S, median(&setups), figures_s, rss)?;
     Ok(RunResult {
         attempted: records.len() as u64,
         failed: records.iter().filter(|r| r.timing.is_failure()).count() as u64,
@@ -250,13 +286,13 @@ fn run_cold_transient(server: &Path, seed: u64, seconds: f64) -> Result<RunResul
     })
 }
 
-/// `reuse_open` runs the daemon with its in-memory memo only. With
+/// `reuse_closed` runs the daemon with its in-memory memo only. With
 /// `--cache-dir` the disk store's file writes dominated request latency and
-/// made it unsteady on a shared disk (at 20 req/s, p90 spread 0.35 of the
-/// median across five seeds, against 0.06 without the store), so the store
-/// layer is measured in the traced run instead (see `replay.rs`).
-fn run_reuse_open(server: &Path, seed: u64, seconds: f64) -> Result<RunResult, String> {
-    let (warmup, scheduled) = gen::reuse_open(seed, seconds);
+/// made it unsteady on a shared disk (p90 spread 0.35 of the median across
+/// five seeds, against 0.06 without the store), so the store layer is
+/// measured in the traced run instead (see `replay.rs`).
+fn run_reuse_closed(server: &Path, seed: u64, seconds: f64) -> Result<RunResult, String> {
+    let warmup = gen::reuse_warmup();
     let mut setups = Vec::new();
     let mut running = None;
     for _ in 0..REUSE_SETUPS {
@@ -275,27 +311,35 @@ fn run_reuse_open(server: &Path, seed: u64, seconds: f64) -> Result<RunResult, S
         running = Some((d, warm));
     }
     let (daemon, warm) = running.expect("at least one setup");
-    let (records, wall) = client::open_loop(&daemon, &scheduled, CLIENTS)?;
+    let source = std::sync::Mutex::new(ReuseStream::new(seed));
+    let request = |i: usize| Some(source.lock().expect("stream lock").get(i).line);
+    let records = client::closed_loop(&daemon, &request, CLIENTS, seconds)?;
+
+    // The stream is generated again for the check, one request at a time,
+    // so the run never holds all of it.
+    let mut check = Checker::new(seed);
+    for (request, record) in warmup.iter().zip(&warm) {
+        check.record(request, record);
+    }
+    let mut stream = ReuseStream::new(seed);
+    let mut cells = 0;
+    for record in &records {
+        let request = stream.get(record.request);
+        cells += request.cells();
+        check.record(&request, record);
+    }
+    check.sample(&daemon)?;
     let figures_s = figures::through_daemon(&daemon)?;
     let rss = daemon.peak_rss_mb()?;
     daemon.stop()?;
 
-    let mut check = Checker::new();
-    check.records(&warmup, &warm);
-    check.records(&scheduled, &records);
-    check.sample(seed);
-    let cells: usize = scheduled.iter().map(GenRequest::cells).sum();
-    let cached: u64 = records.iter().filter_map(|r| r.done.map(|d| d[1])).sum();
-    let lags: Vec<f64> = records.iter().map(|r| r.timing.lag() * 1e3).collect();
     eprintln!(
-        "reuse_open: {} requests at {} req/s, cache.memo_hit_ratio {:.3}, loadgen.lag_p90_ms {:.3}",
+        "reuse_closed: {} requests, cache.memo_hit_ratio {:.3}",
         records.len(),
-        gen::REUSE_RATE_PER_S,
-        cached as f64 / cells as f64,
-        percentile(&lags, 90.0).unwrap_or(f64::NAN),
+        memo_hits(&records) as f64 / cells.max(1) as f64,
     );
     let mut metrics = Metrics::default();
-    daemon_metrics(&mut metrics, &records, wall, REUSE_LIMIT_S, median(&setups), figures_s, rss)?;
+    daemon_metrics(&mut metrics, &records, REUSE_LIMIT_S, median(&setups), figures_s, rss)?;
     Ok(RunResult {
         attempted: records.len() as u64,
         failed: records.iter().filter(|r| r.timing.is_failure()).count() as u64,
@@ -326,7 +370,12 @@ fn run_figures_regen(seconds: f64) -> Result<RunResult, String> {
     let total: f64 = pass_seconds.iter().sum();
     let cell_ms: Vec<f64> =
         passes.iter().flatten().flat_map(|d| d.row_done.iter().map(|s| s * 1e3)).collect();
-    let first_ms: Vec<f64> = passes.iter().flatten().map(|d| d.seconds * 1e3).collect();
+    // Each dataset's mean render time over the passes, then the middle of
+    // the five: a mean over several passes evens out the host's short
+    // stalls, which a single ~0.1 s dataset feels in full.
+    let dataset_ms: Vec<f64> = (0..FIGURES.len())
+        .map(|i| passes.iter().map(|p| p[i].seconds).sum::<f64>() * 1e3 / passes.len() as f64)
+        .collect();
     let good = cell_ms.iter().filter(|&&ms| ms <= FIGURE_CELL_LIMIT_S * 1e3).count();
     let mut m = Metrics::default();
     m.put("setup_s", setup_s, "s");
@@ -334,7 +383,7 @@ fn run_figures_regen(seconds: f64) -> Result<RunResult, String> {
     m.put("cells_per_s", cell_ms.len() as f64 / total, "1/s");
     m.put("latency_p50_ms", percentile(&cell_ms, 50.0)?, "ms");
     m.put("latency_p90_ms", percentile(&cell_ms, 90.0)?, "ms");
-    m.put("first_cell_p50_ms", percentile(&first_ms, 50.0)?, "ms");
+    m.put("first_cell_p50_ms", median(&dataset_ms), "ms");
     m.put("goodput_rps", good as f64 / total, "1/s");
     m.put("figures_s", median(&pass_seconds), "s");
     m.put("peak_rss_mb", client::peak_rss_mb("/proc/self/status")?, "MiB");
@@ -369,48 +418,6 @@ fn figure_setup_in_child() -> Result<f64, String> {
     }
 }
 
-/// `--capacity`: the daemon's closed-loop rate on the `reuse_open` requests
-/// of `--seed` and `--seconds`. Each pass starts a fresh daemon, sends the
-/// warm-up, then has [`CLIENTS`] clients send the scheduled requests back
-/// to back, ignoring their due times. Prints the median of the passes
-/// beside the rate the open loop offers.
-fn capacity(cli: &Cli) -> Result<(), String> {
-    if cli.workload != "reuse_open" {
-        return Err(
-            "--capacity measures reuse_open; cold_transient is a closed loop already".into()
-        );
-    }
-    let (warmup, scheduled) = gen::reuse_open(cli.seed, cli.seconds);
-    let mut rates = Vec::new();
-    for _ in 0..CAPACITY_PASSES {
-        let (daemon, _) = Daemon::spawn(&cli.server, &["--workers".into(), WORKERS.into()])?;
-        let mut conn = daemon.connect()?;
-        let epoch = Instant::now();
-        for (i, r) in warmup.iter().enumerate() {
-            client::round_trip(&mut conn, epoch, i, &r.line)?;
-        }
-        drop(conn);
-        let request = |i: usize| scheduled.get(i).map(|r| r.line.clone());
-        let (records, wall) = client::closed_loop(&daemon, &request, CLIENTS, f64::INFINITY)?;
-        daemon.stop()?;
-        if records.len() != scheduled.len() || records.iter().any(|r| r.timing.is_failure()) {
-            return Err("a capacity pass lost or failed requests".into());
-        }
-        let rate = records.len() as f64 / wall;
-        eprintln!("capacity pass: {} requests in {wall:.3} s = {rate:.1} req/s", records.len());
-        rates.push(rate);
-    }
-    let capacity = median(&rates);
-    println!(
-        "reuse_open capacity: {capacity:.1} req/s (median of {CAPACITY_PASSES} closed-loop passes \
-         of {} requests, {CLIENTS} clients, --workers {WORKERS}); offered rate {} req/s = {:.1}% of it",
-        scheduled.len(),
-        gen::REUSE_RATE_PER_S,
-        100.0 * gen::REUSE_RATE_PER_S / capacity
-    );
-    Ok(())
-}
-
 /// Command-line options.
 struct Cli {
     workload: String,
@@ -420,7 +427,6 @@ struct Cli {
     server: PathBuf,
     list: bool,
     dump: bool,
-    capacity: bool,
     figure_setup: bool,
     steadiness: usize,
 }
@@ -439,7 +445,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         server: target_dir().join("release/rlckit-server"),
         list: false,
         dump: false,
-        capacity: false,
         figure_setup: false,
         steadiness: 0,
     };
@@ -456,7 +461,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             "--steadiness" => cli.steadiness = number(value()?)? as usize,
             "--list" => cli.list = true,
             "--dump" => cli.dump = true,
-            "--capacity" => cli.capacity = true,
             "--figure-setup" => cli.figure_setup = true,
             other => return Err(format!("unknown flag {other}")),
         }
@@ -483,7 +487,7 @@ fn run(cli: &Cli) -> Result<RunResult, String> {
     }
     match cli.workload.as_str() {
         "cold_transient" => run_cold_transient(&cli.server, cli.seed, cli.seconds),
-        "reuse_open" => run_reuse_open(&cli.server, cli.seed, cli.seconds),
+        "reuse_closed" => run_reuse_closed(&cli.server, cli.seed, cli.seconds),
         _ => run_figures_regen(cli.seconds),
     }
 }
@@ -630,25 +634,15 @@ fn main() -> ExitCode {
             }
         };
     }
-    if cli.capacity {
-        return match capacity(&cli) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("perfbench: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
     if cli.dump {
+        let per_s = DUMP_PER_S.iter().find(|(w, _)| *w == cli.workload).map(|&(_, r)| r);
+        let count = (cli.seconds * per_s.unwrap_or(0.0)).ceil() as usize;
         let requests = match cli.workload.as_str() {
-            "cold_transient" => {
-                let count = (cli.seconds * COLD_DUMP_PER_S).ceil() as usize;
-                gen::cold_transient(cli.seed, count)
-            }
-            "reuse_open" => {
-                let (mut warmup, scheduled) = gen::reuse_open(cli.seed, cli.seconds);
-                warmup.extend(scheduled);
-                warmup
+            "cold_transient" => gen::cold_transient(cli.seed, count),
+            "reuse_closed" => {
+                let mut requests = gen::reuse_warmup();
+                requests.extend(ReuseStream::new(cli.seed).take(count));
+                requests
             }
             _ => {
                 eprintln!("perfbench: figures_regen runs in process and sends no requests");

@@ -38,7 +38,6 @@ use rlckit_units::{Time, Voltage};
 use crate::client::{self, number, Daemon, Record};
 use crate::figures::{committed_csv, figure_sweep};
 use crate::gen::{self, GenRequest};
-use crate::stats::percentile;
 use crate::trace::Tracer;
 use crate::Metrics;
 
@@ -48,10 +47,9 @@ const COLD_REQUESTS: usize = 24;
 const DEEP_CELLS: usize = 12;
 /// The evaluators whose circuit [`case_of`] rebuilds for a deep replay.
 const DEEP_EVALUATORS: [&str; 4] = ["mesh_delay", "tree_delay", "reduced_delay", "sram_read"];
-/// Scheduled requests of `reuse_open` replayed (enough for a p90 of the
-/// generator's lag).
+/// Requests of `reuse_closed` replayed after its warm-up.
 const REUSE_REQUESTS: usize = 120;
-/// Result-store byte budget of the traced `reuse_open` replay, below its
+/// Result-store byte budget of the traced `reuse_closed` replay, below its
 /// working set so fresh cells write records and force evictions.
 const REUSE_STORE_BUDGET: u64 = 512 * 1024;
 
@@ -555,7 +553,7 @@ fn put_transient(m: &mut Metrics, w: &str, deep: &DeepStats, census: &Census) {
     );
 }
 
-fn reuse_open(
+fn reuse_closed(
     t: &mut Tracer,
     server: &Path,
     seed: u64,
@@ -563,9 +561,8 @@ fn reuse_open(
     m: &mut Metrics,
     outcome: &mut Outcome,
 ) -> Result<(), String> {
-    let (warmup, mut scheduled) =
-        gen::reuse_open(seed, 2.0 * REUSE_REQUESTS as f64 / gen::REUSE_RATE_PER_S);
-    scheduled.truncate(REUSE_REQUESTS);
+    let warmup = gen::reuse_warmup();
+    let scheduled = gen::ReuseStream::new(seed).take(REUSE_REQUESTS);
     let daemon_dir = out_dir.join(format!("trace-store-daemon-{}", std::process::id()));
     let replay_dir = out_dir.join(format!("trace-store-replay-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&daemon_dir);
@@ -581,7 +578,7 @@ fn reuse_open(
     .map(str::to_owned);
     let (daemon, _) = Daemon::spawn(server, &args)?;
     let warm_records = sequential(&daemon, &warmup)?;
-    let (records, _) = client::open_loop(&daemon, &scheduled, 1)?;
+    let records = sequential(&daemon, &scheduled)?;
     let stats = daemon.stats()?;
     daemon.stop()?;
 
@@ -595,8 +592,8 @@ fn reuse_open(
     let _ = std::fs::remove_dir_all(&daemon_dir);
     let _ = std::fs::remove_dir_all(&replay_dir);
 
-    let w = "reuse_open";
-    let totals = t.layer_totals("ro-");
+    let w = "reuse_closed";
+    let totals = t.layer_totals("rc-");
     let requests = scheduled.len() as f64;
     let cells: usize = scheduled.iter().map(GenRequest::cells).sum();
     let cached: u64 = records.iter().filter_map(|r| r.done.map(|d| d[1])).sum();
@@ -644,8 +641,6 @@ fn reuse_open(
         let per_cell = mean_self(&totals, &format!("sweep.eval.{name}"));
         m.put(&format!("{w}.eval.{name}_ms_per_cell"), per_cell * 1e3, "ms");
     }
-    let lags: Vec<f64> = records.iter().map(|r| r.timing.lag() * 1e3).collect();
-    m.put(&format!("{w}.loadgen.lag_p90_ms"), percentile(&lags, 90.0)?, "ms");
     Ok(())
 }
 
@@ -704,7 +699,7 @@ pub fn run(
     let mut m = Metrics::default();
     let mut outcome = Outcome::default();
     cold_transient(&mut t, server, seed, &mut m, &mut outcome)?;
-    reuse_open(&mut t, server, seed, out_dir, &mut m, &mut outcome)?;
+    reuse_closed(&mut t, server, seed, out_dir, &mut m, &mut outcome)?;
     figures_regen(&mut t, &mut m, &mut outcome)?;
     std::fs::write(trace_path, t.to_chrome_json())
         .map_err(|e| format!("{}: {e}", trace_path.display()))?;

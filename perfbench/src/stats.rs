@@ -1,5 +1,5 @@
 //! The benchmark's own arithmetic: medians, quartiles and the percentile
-//! rule, plus the open-loop and failure accounting every workload shares.
+//! rule, plus the request timing and failure accounting every workload shares.
 
 /// Median of `values` (mean of the middle pair for an even count).
 pub fn median(values: &[f64]) -> f64 {
@@ -83,6 +83,28 @@ pub fn windowed_percentile(values: &[f64], p: f64) -> Result<f64, String> {
     Ok(median(&per_window))
 }
 
+/// Completions per second, as the median over consecutive windows of the
+/// rate within each window. `completions` holds each request's completion
+/// time (seconds from the start) and weight (1 for a counted request, its
+/// cells for a cell rate, 0 for one that does not count), sorted by time.
+/// Windows are cut as [`windowed_percentile`] cuts samples; a window's rate
+/// is its weight over the time from the previous window's last completion
+/// (the start, for the first window) to its own last completion.
+pub fn windowed_rate(completions: &[(f64, f64)]) -> f64 {
+    let n = completions.len();
+    assert!(n > 0, "rate of no completions");
+    let windows = (n / 100).clamp(1, MAX_WINDOWS);
+    let rates: Vec<f64> = (0..windows)
+        .map(|w| {
+            let (a, b) = (w * n / windows, (w + 1) * n / windows);
+            let start = if a == 0 { 0.0 } else { completions[a - 1].0 };
+            let weight: f64 = completions[a..b].iter().map(|c| c.1).sum();
+            weight / (completions[b - 1].0 - start)
+        })
+        .collect();
+    median(&rates)
+}
+
 /// The highest of the usual reporting percentiles that the sample supports
 /// (at least ten samples beyond it), with its value.
 pub fn highest_supported(values: &[f64]) -> Option<(f64, f64)> {
@@ -105,10 +127,7 @@ pub enum Ending {
 /// One request's timing, in seconds from the start of the measurement.
 #[derive(Debug, Clone, Copy)]
 pub struct Timing {
-    /// When the request was due: its slot on the open-loop schedule, or
-    /// when a closed-loop client sent it.
-    pub due: f64,
-    /// When the generator actually wrote it (`>= due` when it ran late).
+    /// When the client sent it.
     pub sent: f64,
     /// When its first `cell` line arrived, if any.
     pub first_cell: Option<f64>,
@@ -119,15 +138,14 @@ pub struct Timing {
 }
 
 impl Timing {
-    /// Latency from the due time, so a stalled generator or a queue that
-    /// built up behind a slow request is charged to every request it delayed.
+    /// Seconds from sending the request until its last line.
     pub fn latency(&self) -> f64 {
-        self.end - self.due
+        self.end - self.sent
     }
 
-    /// How late the generator sent the request.
-    pub fn lag(&self) -> f64 {
-        self.sent - self.due
+    /// Seconds from sending the request until its first `cell` line.
+    pub fn first_cell_latency(&self) -> Option<f64> {
+        self.first_cell.map(|f| f - self.sent)
     }
 
     /// A request counts as good only when it completed without a failed
@@ -198,18 +216,32 @@ mod tests {
     }
 
     #[test]
-    fn open_loop_latency_counts_from_the_due_time() {
-        let t =
-            Timing { due: 1.0, sent: 1.25, first_cell: Some(1.3), end: 1.5, ending: Ending::Done };
-        assert!((t.latency() - 0.5).abs() < 1e-12, "latency runs from due, not from sent");
-        assert!((t.lag() - 0.25).abs() < 1e-12);
-        assert!(t.is_good(0.5) && !t.is_good(0.4));
+    fn windowed_rate_is_the_median_window_rate() {
+        // 1000 completions every 10 ms: 100 per second in every window.
+        let even: Vec<(f64, f64)> = (1..=1000).map(|i| (f64::from(i) * 0.01, 1.0)).collect();
+        assert!((windowed_rate(&even) - 100.0).abs() < 1e-9);
+        // A stall in one window halves that window's rate, not the median.
+        let stalled: Vec<(f64, f64)> =
+            even.iter().map(|&(t, w)| (if t > 1.0 { t + 1.0 } else { t * 2.0 }, w)).collect();
+        assert!((windowed_rate(&stalled) - 100.0).abs() < 1e-9);
+        // Weights count: half the requests not counted halves the rate.
+        let half: Vec<(f64, f64)> =
+            even.iter().enumerate().map(|(i, &(t, _))| (t, (i % 2) as f64)).collect();
+        assert!((windowed_rate(&half) - 50.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn latency_counts_from_the_send() {
+        let t = Timing { sent: 1.25, first_cell: Some(1.3), end: 1.5, ending: Ending::Done };
+        assert!((t.latency() - 0.25).abs() < 1e-12);
+        assert!((t.first_cell_latency().unwrap() - 0.05).abs() < 1e-12);
+        assert!(t.is_good(0.25) && !t.is_good(0.2));
     }
 
     #[test]
     fn a_reject_is_an_error_and_misses_the_limit() {
         let fast_reject =
-            Timing { due: 0.0, sent: 0.0, first_cell: None, end: 0.001, ending: Ending::Reject };
+            Timing { sent: 0.0, first_cell: None, end: 0.001, ending: Ending::Reject };
         assert!(fast_reject.is_failure());
         assert!(!fast_reject.is_good(10.0), "a refused request never meets the limit");
         let partial = Timing { ending: Ending::PartlyFailed, ..fast_reject };
