@@ -16,9 +16,9 @@
 //! * [`netlist`] — circuit construction ([`Circuit`], [`NodeId`], elements);
 //! * [`source`] — independent source waveforms (step, ramp, pulse, PWL);
 //! * [`mna`] — structure-preserving assembly of the `G·x + C·dx/dt = b(t)`
-//!   system, with bandwidth detection under a reverse Cuthill–McKee ordering;
-//! * [`solve`] — the circuit-side face of the pluggable dense/banded
-//!   [`SolverBackend`];
+//!   system into compressed-sparse-column matrices on one shared pattern;
+//! * [`solve`] — the circuit-side face of the pluggable [`SolverBackend`]
+//!   (the sparse kernel, with a dense reference kernel on request);
 //! * [`state_space`] — the descriptor state-space view `(G, C, B, Lᵀ)` of an
 //!   assembled circuit, consumed by the Krylov model-order reducer;
 //! * [`dc`] — DC operating point;

@@ -9,7 +9,7 @@
 //! sources) and output selectors `L` (chosen node voltages), and exposes
 //! exactly the operations a Krylov reducer needs —
 //!
-//! * a one-off factorisation of `G` through the pluggable dense/banded
+//! * a one-off factorisation of `G` through the pluggable
 //!   [`SolverBackend`] ([`DescriptorStateSpace::factor_g`]), and
 //! * `O(nnz)` stamp-level products with `C` and `G`
 //!   ([`DescriptorStateSpace::apply_c`] / [`DescriptorStateSpace::apply_g`]),
@@ -17,11 +17,12 @@
 //! so a reduction of a 1000-section ladder never materialises a dense matrix.
 
 use rlckit_numeric::solver::SolverBackend;
+use rlckit_numeric::sparse::SparseLuFactor;
 
 use crate::error::CircuitError;
 use crate::mna::MnaSystem;
 use crate::netlist::{Circuit, NodeId, SourceId};
-use crate::solve::{factor_real, FactoredMna};
+use crate::solve::{factor_real_with, FactoredMna};
 
 /// A circuit's `G·x + C·dx/dt = B·u, y = Lᵀ·x` descriptor system with chosen
 /// inputs (sources) and outputs (node voltages).
@@ -120,15 +121,29 @@ impl DescriptorStateSpace {
         &self.outputs[i]
     }
 
-    /// Factorises `G` with the requested backend (banded for ladder-shaped
-    /// circuits under [`SolverBackend::Auto`]), for the repeated
-    /// `G⁻¹·(C·v)` solves of a Krylov iteration.
+    /// Factorises `G` with the requested backend (sparse under
+    /// [`SolverBackend::Auto`]), for the repeated `G⁻¹·(C·v)` solves of a
+    /// Krylov iteration.
+    ///
+    /// The sparse factorisation always runs afresh against the system's own
+    /// symbolic analysis and never through [`crate::pattern_cache`]: a
+    /// refactorisation of a cached same-pattern template reuses pivots frozen
+    /// by another circuit, and a high-order reduction amplifies the
+    /// resulting last-bit differences into visible changes of the reduced
+    /// model. Fresh factors make the reduction depend on this circuit alone.
     ///
     /// # Errors
     ///
     /// Returns [`CircuitError::SingularSystem`] if `G` cannot be factorised.
     pub fn factor_g(&self, backend: SolverBackend) -> Result<FactoredMna<f64>, CircuitError> {
-        factor_real(&self.mna, 1.0, 0.0, backend, "state-space G factorisation")
+        factor_real_with(
+            &self.mna,
+            1.0,
+            0.0,
+            backend,
+            "state-space G factorisation",
+            SparseLuFactor::factor,
+        )
     }
 
     /// Stamp-level product `C·x` in logical order.
@@ -222,7 +237,7 @@ mod tests {
         // output once charged, so the DC transfer must be 1 (up to GMIN).
         let (c, src, out) = rlc_chain(8);
         let ss = DescriptorStateSpace::new(&c, &[src], &[out]).unwrap();
-        for backend in [SolverBackend::Dense, SolverBackend::Banded] {
+        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
             let factor = ss.factor_g(backend).unwrap();
             let x = factor.solve(ss.input_column(0));
             let gain: f64 = ss.output_column(0).iter().zip(x.iter()).map(|(l, xi)| l * xi).sum();

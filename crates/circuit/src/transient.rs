@@ -11,11 +11,11 @@
 //!   underdamped RLC lines, which is essential when comparing against the
 //!   paper's inductance-dominated cases.
 //!
-//! Both the iteration matrix and the history operator are assembled in band
-//! form under the system's bandwidth-reducing ordering, and the one-off
-//! factorisation goes through the pluggable [`SolverBackend`]: for
-//! ladder-shaped circuits the whole run is `O(n·b²) + steps·O(n·b)` instead
-//! of the dense `O(n³) + steps·O(n²)`.
+//! The iteration matrix is assembled in compressed-sparse-column form and its
+//! one-off factorisation goes through the pluggable [`SolverBackend`]; the
+//! history operator is applied straight from the triplet stamps. On the
+//! sparse kernel a ladder or tree run costs `O(n) + steps·O(n)` instead of
+//! the dense `O(n³) + steps·O(n²)`.
 
 use rlckit_numeric::solver::{ResolvedBackend, SolverBackend};
 use rlckit_units::{Time, Voltage};
@@ -47,8 +47,7 @@ pub struct TransientOptions {
     /// Integration method.
     pub method: Integration,
     /// Solver backend used for the one-off factorisation (default
-    /// [`SolverBackend::Auto`]: banded for ladder-shaped systems, dense
-    /// otherwise).
+    /// [`SolverBackend::Auto`]: the sparse kernel).
     pub backend: SolverBackend,
 }
 
@@ -179,13 +178,12 @@ pub fn run_transient(
     // directly from the triplet stamps:
     //   BE:   (G + C/dt)        x_{n+1} = b_{n+1} + (C/dt) x_n
     //   TRAP: (G/2 + C/dt)      x_{n+1} = (b_{n+1}+b_n)/2 + (C/dt - G/2) x_n
-    // `factor_real` routes assembly by backend (band storage for dense and
-    // banded, compressed-sparse-column for the sparse kernel on tree-shaped
-    // circuits), and the whole loop runs in logical order — the history
-    // mat-vec is the stamp-level `O(nnz)` `apply_real`, so no band matrix is
-    // materialised on wide-bandwidth systems. The sparse symbolic phase is
-    // computed at most once per system and shared between this factorisation
-    // and the DC initial condition below.
+    // `factor_real` factors the compressed-sparse-column assembly, and the
+    // whole loop runs in logical order — the history mat-vec is the
+    // stamp-level `O(nnz)` `apply_real`, so no second matrix is
+    // materialised. The sparse symbolic phase is computed at most once per
+    // system and shared between this factorisation and the DC initial
+    // condition below.
     let (lhs_g, hist_g) = match options.method {
         Integration::BackwardEuler => (1.0, 0.0),
         Integration::Trapezoidal => (0.5, -0.5),
@@ -462,11 +460,11 @@ mod tests {
     }
 
     #[test]
-    fn small_circuits_resolve_to_the_dense_kernel() {
+    fn small_circuits_resolve_to_the_sparse_kernel() {
         let (c, _) = rc_circuit();
         let options =
             TransientOptions::new(Time::from_nanoseconds(1.0), Time::from_picoseconds(1.0));
         let result = run_transient(&c, &options).unwrap();
-        assert_eq!(result.backend(), ResolvedBackend::Dense);
+        assert_eq!(result.backend(), ResolvedBackend::Sparse);
     }
 }

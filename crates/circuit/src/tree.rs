@@ -6,10 +6,10 @@
 //! branches — each a uniform RLC segment chain hanging off its parent's far
 //! end — driven by the usual gate abstraction (step source behind `Rtr`).
 //!
-//! Tree-shaped MNA systems are exactly the workload the banded solver cannot
-//! help with: under *any* ordering their bandwidth grows with the fan-out,
-//! so [`crate::solve::factor_real`] routes them to the sparse backend, which
-//! keeps the factors `O(n)`.
+//! Tree-shaped MNA systems are exactly the workload a band solver cannot
+//! help with: under *any* ordering their bandwidth grows with the fan-out.
+//! The sparse backend behind [`crate::solve::factor_real`] eliminates them
+//! leaves first and keeps the factors `O(n)`.
 //!
 //! [`measure_tree_delays`] runs the transient analysis once and extracts the
 //! 50% delay, rise time and overshoot at *every* sink, so callers get the
@@ -528,8 +528,8 @@ mod tests {
 
     #[test]
     fn wide_trees_resolve_to_the_sparse_backend() {
-        // A flat 24-way fan-out: the MNA bandwidth blows past the banded
-        // limit, so Auto must route to the sparse kernel.
+        // A flat 24-way fan-out: the MNA bandwidth grows with the fan-out,
+        // and Auto runs it on the sparse kernel.
         let mut spec = TreeSpec::new(Resistance::from_ohms(100.0));
         spec.branches.push(branch(None, 1.0, 0.0));
         for _ in 0..24 {

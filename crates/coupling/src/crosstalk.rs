@@ -1,8 +1,8 @@
 //! Coupled-bus transient simulation and crosstalk metrics.
 //!
 //! [`simulate_bus`] runs one switching pattern through the MNA transient
-//! solver (automatic dense/banded dispatch, like every analysis in the
-//! workspace) and wraps the result in a [`BusTransient`] that knows which
+//! solver (the sparse kernel under automatic dispatch, like every analysis
+//! in the workspace) and wraps the result in a [`BusTransient`] that knows which
 //! conductor is which, so measurements can be asked for by *signal* index.
 //!
 //! [`crosstalk_metrics`] packages the paper-style summary for one victim

@@ -1,9 +1,10 @@
 //! Compressed-sparse-column matrices and fill-reducing sparse LU.
 //!
-//! The banded kernel of [`crate::banded`] wins only when a bandwidth-reducing
-//! permutation exists — true for ladders and buses, false for branching
-//! trees, whose MNA matrices have `Ω(n/log n)` bandwidth under *any*
-//! ordering. This module provides the general-purpose third backend:
+//! This module is the LU kernel every MNA system factors with. A
+//! fill-reducing elimination order serves every circuit shape: ladders and
+//! buses, whose matrices are narrowly banded under a good ordering, power
+//! meshes, and branching trees, whose MNA matrices have `Ω(n/log n)`
+//! bandwidth under *any* ordering. It provides:
 //!
 //! * [`CscMatrix`] — compressed-sparse-column storage built from triplet
 //!   stamps, `O(nnz)` memory regardless of bandwidth;
@@ -17,7 +18,8 @@
 //!   numeric factorisation of that pattern (DC, transient and each AC
 //!   frequency point factor different matrices with the *same* pattern);
 //! * [`SparseLuFactor`] — the numeric phase: a left-looking Gilbert–Peierls
-//!   LU with partial pivoting, `O(nnz(L) + nnz(U))` storage and
+//!   LU with threshold partial pivoting that prefers the diagonal, so the
+//!   fill stays what the ordering predicted; `O(nnz(L) + nnz(U))` storage and
 //!   `O(flops(L·U))` time, generic over real and complex scalars. A factor
 //!   additionally supports value-only **refactorisation**
 //!   ([`SparseLuFactor::refactor`] — same pattern, new values, frozen pivot
@@ -28,12 +30,17 @@
 //! tree in leaf-to-root order creates no fill), so factorisation and each
 //! solve are `O(n)` against the dense `O(n³)`/`O(n²)`.
 
-use crate::banded::BandedMatrix;
 use crate::lu::{FactorizeError, SINGULARITY_THRESHOLD};
 use crate::matrix::{Matrix, Scalar};
 
 /// Sentinel for "row not yet pivotal" during factorisation.
 const UNSET: usize = usize::MAX;
+
+/// Threshold of the diagonal preference in [`SparseLuFactor::factor`]: the
+/// diagonal entry stays the pivot while it is at least this fraction of the
+/// largest candidate (the value sparse circuit solvers such as KLU default
+/// to).
+const DIAGONAL_PIVOT_TOLERANCE: f64 = 1e-3;
 
 /// A square sparse matrix in compressed-sparse-column form.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,23 +88,6 @@ impl<T: Scalar> CscMatrix<T> {
             col_ptr.push(row_idx.len());
         }
         Self { n, col_ptr, row_idx, values }
-    }
-
-    /// Builds a sparse copy of a banded matrix, dropping stored zeros.
-    pub fn from_banded(a: &BandedMatrix<T>) -> Self {
-        let n = a.dim();
-        let mut triplets = Vec::new();
-        for i in 0..n {
-            let lo = i.saturating_sub(a.lower_bandwidth());
-            let hi = (i + a.upper_bandwidth()).min(n - 1);
-            for j in lo..=hi {
-                let v = a.get(i, j);
-                if v != T::zero() {
-                    triplets.push((i, j, v));
-                }
-            }
-        }
-        Self::from_triplets(n, &triplets)
     }
 
     /// Builds a matrix directly from compressed-sparse-column arrays.
@@ -306,9 +296,8 @@ impl PatternHash {
 ///
 /// `adjacency[i]` lists the neighbours of unknown `i` (self-loops ignored).
 /// Returns `perm` with `perm[logical] = position`: the unknown eliminated
-/// first has position 0 — the same convention as
-/// [`crate::ordering::reverse_cuthill_mckee`]. Ties break on the smallest
-/// index, so the ordering is deterministic.
+/// first has position 0. Ties break on the smallest index, so the ordering
+/// is deterministic.
 ///
 /// Eliminating a vertex joins its remaining neighbours into a clique (the
 /// fill its pivot would create); always eliminating a currently
@@ -603,13 +592,15 @@ impl SparseSymbolic {
 }
 
 /// A sparse LU factorisation `P·A·Q = L·U` (left-looking Gilbert–Peierls with
-/// partial pivoting).
+/// threshold partial pivoting).
 ///
 /// `Q` is the fill-reducing column order from a [`SparseSymbolic`]; `P` is
-/// chosen during elimination for stability. `L` is unit lower triangular with
-/// the unit diagonal stored first in each column, `U` is upper triangular
-/// with the diagonal stored last — both in compressed-column form, so a solve
-/// is one sparse forward and one sparse backward substitution.
+/// chosen during elimination for stability, keeping the diagonal while it is
+/// within a factor of 1000 of the column's largest candidate. `L` is unit
+/// lower triangular with the unit diagonal stored first in each column, `U`
+/// is upper triangular with the diagonal stored last — both in
+/// compressed-column form, so a solve is one sparse forward and one sparse
+/// backward substitution.
 #[derive(Debug, Clone)]
 pub struct SparseLuFactor<T: Scalar = f64> {
     n: usize,
@@ -733,6 +724,21 @@ impl<T: Scalar> SparseLuFactor<T> {
                         pivot_row = i;
                     }
                 }
+            }
+            // Threshold partial pivoting: keep the diagonal, the row the
+            // fill-reducing order was computed for, unless it is far smaller
+            // than the largest candidate. Strict partial pivoting swaps rows
+            // on circuit matrices all the time (eliminating a series
+            // resistor leaves its far node a diagonal near C/dt beside unit
+            // incidence entries), and on a coupled bus those swaps multiply
+            // the fill the ordering promised by up to 80x.
+            let diagonal = x[col].modulus();
+            if pinv[col] == UNSET
+                && visited[col]
+                && diagonal >= DIAGONAL_PIVOT_TOLERANCE * pivot_mag
+            {
+                pivot_mag = diagonal;
+                pivot_row = col;
             }
             if pivot_row == UNSET || !(pivot_mag > SINGULARITY_THRESHOLD) {
                 // Clean the workspaces before reporting, for reuse safety.
@@ -1188,24 +1194,6 @@ mod tests {
     }
 
     #[test]
-    fn from_banded_round_trips() {
-        let mut b = BandedMatrix::<f64>::zeros(5, 1, 1);
-        for i in 0..5 {
-            b.set(i, i, 2.0);
-            if i + 1 < 5 {
-                b.set(i, i + 1, -1.0);
-            }
-        }
-        let a = CscMatrix::from_banded(&b);
-        assert_eq!(a.nnz(), 9);
-        for i in 0..5 {
-            for j in 0..5 {
-                assert_eq!(a.get(i, j), b.get(i, j));
-            }
-        }
-    }
-
-    #[test]
     fn minimum_degree_is_a_bijection_and_orders_leaves_first() {
         // Star graph: centre 0 with 4 leaves. Leaves have degree 1 and must
         // all be eliminated before the centre.
@@ -1285,6 +1273,36 @@ mod tests {
     }
 
     #[test]
+    fn threshold_pivoting_keeps_moderate_diagonals_and_swaps_tiny_ones() {
+        // A path graph whose off-diagonals outweigh the diagonal. Strict
+        // partial pivoting would swap rows and fill a second superdiagonal;
+        // a diagonal within the tolerance stays the pivot and the factors
+        // keep the pattern exactly (L and U each hold n + (n - 1) entries).
+        // A diagonal below the tolerance is still swapped away for
+        // stability. Both solve accurately.
+        let n = 50;
+        for (diagonal, keeps_pattern) in [(0.01, true), (1e-6, false)] {
+            let mut triplets = Vec::new();
+            for i in 0..n {
+                triplets.push((i, i, diagonal));
+                if i + 1 < n {
+                    triplets.push((i, i + 1, 1.0));
+                    triplets.push((i + 1, i, -1.0));
+                }
+            }
+            let a = CscMatrix::from_triplets(n, &triplets);
+            let f = SparseLuFactor::factor_auto(&a).unwrap();
+            let fill_free = f.l_nnz() + f.u_nnz() == 2 * (2 * n - 1);
+            assert_eq!(fill_free, keeps_pattern, "diagonal {diagonal}");
+            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+            let x = f.solve(&b);
+            for (r, bi) in a.mul_vec(&x).iter().zip(&b) {
+                assert!((r - bi).abs() < 1e-10, "diagonal {diagonal}: residual {}", r - bi);
+            }
+        }
+    }
+
+    #[test]
     fn singular_matrices_are_reported() {
         // Zero column.
         let a = CscMatrix::from_triplets(3, &[(0, 0, 1.0), (1, 1, 1.0), (2, 0, 1.0)]);
@@ -1349,8 +1367,8 @@ mod tests {
     }
 
     /// A diagonally dominant matrix on a `rows × cols` grid graph — the
-    /// power-mesh pattern that defeats both banded storage and the zero-fill
-    /// tree path.
+    /// power-mesh pattern that defeats both narrow-band storage and the
+    /// zero-fill tree path.
     fn grid_matrix(rows: usize, cols: usize, seed: u64) -> CscMatrix<f64> {
         let n = rows * cols;
         let mut state = seed;

@@ -513,6 +513,20 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_lines_get_a_bad_json_reply() {
+        // 200 000 unclosed brackets used to recurse until the stack
+        // overflowed and aborted the process; the nesting cap answers with
+        // a structured error and the stream carries on.
+        let engine = Engine::new(quiet_config()).unwrap();
+        let input = format!("{}\n{{\"op\":\"ping\"}}\n", "[".repeat(200_000));
+        let lines = run_lines(&engine, &input);
+        assert_eq!(lines.len(), 2);
+        assert!(lines[0].contains("\"code\":\"bad_json\""), "{}", lines[0]);
+        assert!(lines[0].contains("nesting deeper than"), "{}", lines[0]);
+        assert_eq!(lines[1], "{\"type\":\"pong\"}");
+    }
+
+    #[test]
     fn jobs_stream_cells_in_index_order_and_memoise() {
         let engine = Engine::new(ServerConfig { workers: 3, ..quiet_config() }).unwrap();
         let req = "{\"id\":\"j1\",\"evaluator\":\"delay_model\",\

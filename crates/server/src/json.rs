@@ -5,9 +5,15 @@
 //! keep their key order) and escape/format helpers for the single-line
 //! responses. The subset is exactly RFC 8259 minus nothing the protocol
 //! needs: strings with every escape (including `\uXXXX` and surrogate
-//! pairs), numbers as `f64`, arrays, objects, booleans and `null`.
+//! pairs), numbers as `f64`, arrays, objects, booleans and `null`. Arrays
+//! and objects may nest at most [`MAX_DEPTH`] levels deep, so hostile input
+//! cannot exhaust the parser's stack.
 
 use std::fmt::Write as _;
+
+/// Deepest nesting of arrays and objects [`parse`] accepts. The protocol
+/// nests four levels; the limit bounds the recursion of the parser.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,7 +96,7 @@ impl Value {
 ///
 /// Returns a byte offset plus a short description of the first problem.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -118,6 +124,8 @@ impl std::fmt::Display for ParseError {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -155,8 +163,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -165,6 +173,21 @@ impl Parser<'_> {
             Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one nesting level deeper, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value, ParseError> {
@@ -344,6 +367,18 @@ pub fn push_f64(out: &mut String, v: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert_eq!(err.message, format!("nesting deeper than {MAX_DEPTH} levels"));
+        // Objects count towards the same limit.
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(parse(&objects).is_err());
+    }
 
     #[test]
     fn parses_the_protocol_shapes() {

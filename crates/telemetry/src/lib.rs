@@ -1,11 +1,12 @@
 //! Zero-dependency tracing and metrics for the `rlckit` hot paths.
 //!
 //! Every expensive phase of the workspace — sparse symbolic analysis and
-//! numeric (re)factorisation, banded/dense kernels, MNA assembly, transient
-//! stepping, block-Arnoldi reduction, the sweep executor — carries an
-//! instrumentation site from this crate. The sites are **free when profiling
-//! is off**: each one costs a single relaxed atomic load (see [`enabled`]),
-//! so the instrumented kernels keep their benchmarked performance.
+//! numeric (re)factorisation, the dense reference kernel, MNA assembly,
+//! transient stepping, block-Arnoldi reduction, the sweep executor —
+//! carries an instrumentation site from this crate. The sites are **free
+//! when profiling is off**: each one costs a single relaxed atomic load (see
+//! [`enabled`]), so the instrumented kernels keep their benchmarked
+//! performance.
 //!
 //! Profiling is activated either by setting `RLCKIT_PROFILE=1` in the
 //! environment (read once, lazily) or programmatically through a

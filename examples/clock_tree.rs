@@ -6,10 +6,9 @@
 //! skew and the overshoot; then applies the paper's RLC repeater closed
 //! forms per root-to-sink path and compares the worst-sink delay against
 //! the inductance-blind Bakoglu design. Finally it widens the net into a
-//! 24-tap spine: narrow trees stay narrow-banded under reverse
-//! Cuthill–McKee and keep the banded kernel, but wide fan-out defeats band
-//! storage and routes to the sparse (minimum-degree Gilbert–Peierls)
-//! backend automatically.
+//! 24-tap spine: wide fan-out gives the MNA matrix a bandwidth that grows
+//! with the tap count under any ordering, yet the sparse (minimum-degree
+//! Gilbert–Peierls) kernel factors it leaves first, without fill.
 //!
 //! Run with `cargo run --release --example clock_tree`.
 
@@ -64,8 +63,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         repeaters.rc_design_penalty_percent(),
     );
 
-    // Fan-out decides the kernel: a 24-tap spine has no narrow band under
-    // any ordering, so the same call now lands on the sparse backend.
+    // A 24-tap spine has no narrow band under any ordering; the sparse
+    // kernel runs it with O(n) factors all the same.
     let spine = RoutingTree::symmetric(&path, 2, 24, tech.buffer_capacitance(driver_size)?)?;
     let spec = spine.to_tree_spec(tech.buffer_resistance(driver_size)?, tech.supply, 8)?;
     let wide = measure_tree_delays(&spec)?;

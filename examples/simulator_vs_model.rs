@@ -15,6 +15,7 @@
 use rlckit::circuit::mna::MnaSystem;
 use rlckit::circuit::transient::{run_transient, TransientOptions};
 use rlckit::model::response::TwoPoleResponse;
+use rlckit::numeric::sparse::SparseLuFactor;
 use rlckit::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -45,14 +46,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("operating point: Rt = 1 kΩ, Lt = 10 nH, Ct = 1 pF, Rtr = 500 Ω, CL = 0.5 pF");
     println!("zeta = {:.3}  (underdamped < 1 < overdamped)", load.zeta());
 
-    // The solve path the simulator picked: the ladder's MNA system has a
-    // constant bandwidth under the reverse Cuthill–McKee ordering, so the
-    // backend dispatch selects the banded O(n·b²) kernel automatically.
+    // The solve path the simulator picked: the sparse kernel, whose
+    // minimum-degree order factors the ladder's MNA system with O(n) fill,
+    // so the LU factors hold a small constant number of entries per unknown.
     let mna = MnaSystem::build(&ladder.circuit)?;
-    let (kl, ku) = mna.bandwidth();
+    let lu = SparseLuFactor::factor(&mna.assemble_csc_real(1.0, 0.0), mna.sparse_symbolic())?;
     println!(
-        "MNA system: {} unknowns, RCM bandwidth (kl = {kl}, ku = {ku}) → {} solver\n",
+        "MNA system: {} unknowns, {} entries in L+U → {} solver\n",
         mna.dim(),
+        lu.l_nnz() + lu.u_nnz(),
         result.backend().name(),
     );
 

@@ -164,10 +164,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Three-way solver-backend equivalence: dense vs banded vs sparse on ladders,
-// coupled buses and random trees, plus singular-rejection parity. Each case
-// assembles one MNA system, factorises it under every forced backend and
-// compares the solutions of the same right-hand side to 1e-9.
+// Three-way solver-backend equivalence: the dense reference, the sparse
+// kernel and `Auto` (which resolves to the sparse kernel) on ladders,
+// coupled buses, random trees and meshes, plus singular-rejection parity.
+// Each case assembles one MNA system, factorises it under every backend
+// request and compares the solutions of the same right-hand side to 1e-9.
 // ---------------------------------------------------------------------------
 
 use rlckit::circuit::dc::operating_point_of;
@@ -184,14 +185,14 @@ use rlckit::units::{
 };
 
 const BACKENDS: [SolverBackend; 3] =
-    [SolverBackend::Dense, SolverBackend::Banded, SolverBackend::Sparse];
+    [SolverBackend::Dense, SolverBackend::Sparse, SolverBackend::Auto];
 
-/// DC-solves one assembled system under every forced backend and asserts the
-/// states agree to 1e-9.
+/// DC-solves one assembled system under every backend request and asserts
+/// the states agree to 1e-9.
 fn assert_backends_agree(mna: &MnaSystem, context: &str) {
     let t = Time::from_picoseconds(3.0);
     let reference = operating_point_of(mna, t, SolverBackend::Dense).expect("dense DC solves");
-    for backend in [SolverBackend::Banded, SolverBackend::Sparse] {
+    for backend in [SolverBackend::Sparse, SolverBackend::Auto] {
         let other = operating_point_of(mna, t, backend).expect("backend DC solves");
         for (i, (d, o)) in reference.state().iter().zip(other.state().iter()).enumerate() {
             assert!(
@@ -334,7 +335,6 @@ proptest! {
 // permutation with fill competitive with classical minimum degree.
 // ---------------------------------------------------------------------------
 
-use rlckit::numeric::banded::BandedLuFactor;
 use rlckit::numeric::condition;
 use rlckit::numeric::lu::LuFactor;
 use rlckit::numeric::sparse::{
@@ -514,8 +514,8 @@ proptest! {
         // inverse: n dense solves, one per unit vector.
         let mna = family_mna(family as usize, size_f as usize);
         let n = mna.dim();
-        let band = mna.assemble_real(1.0, cs_scale * 1e10);
-        let dense = band.to_dense();
+        let csc = mna.assemble_csc_real(1.0, cs_scale * 1e10);
+        let dense = csc.to_dense();
         let dense_lu = LuFactor::new(&dense).expect("family system factors");
         let mut inv_norm_one = 0.0f64;
         for j in 0..n {
@@ -525,10 +525,8 @@ proptest! {
             inv_norm_one = inv_norm_one.max(col.iter().map(|v| v.abs()).sum());
         }
         let exact = dense.norm_one() * inv_norm_one;
-        let csc = mna.assemble_csc_real(1.0, cs_scale * 1e10);
         let estimates = [
             ("dense", dense_lu.condest(dense.norm_one())),
-            ("banded", BandedLuFactor::new(&band).expect("factors").condest(dense.norm_one())),
             (
                 "sparse",
                 SparseLuFactor::factor(&csc, mna.sparse_symbolic())
