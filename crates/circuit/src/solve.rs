@@ -291,6 +291,32 @@ mod tests {
     }
 
     #[test]
+    fn sparse_backend_agrees_with_dense_on_dc_and_complex() {
+        let circuit = chain(25);
+        let mna = MnaSystem::build(&circuit).unwrap();
+        let mut b = vec![0.0; mna.dim()];
+        mna.rhs_at(Time::from_picoseconds(1.0), &mut b);
+
+        let sparse = factor_real(&mna, 1.0, 0.0, SolverBackend::Sparse, "test").unwrap();
+        let dense = factor_real(&mna, 1.0, 0.0, SolverBackend::Dense, "test").unwrap();
+        assert_eq!(sparse.backend(), ResolvedBackend::Sparse);
+        assert_eq!(sparse.solver().dim(), mna.dim());
+        let xs = sparse.solve(&b);
+        let xd = dense.solve(&b);
+        for (s, d) in xs.iter().zip(xd.iter()) {
+            assert!((s - d).abs() < 1e-9, "sparse {s} vs dense {d}");
+        }
+
+        let s = Complex::new(0.0, 2e10);
+        let sparse_c = factor_complex(&mna, s, SolverBackend::Sparse, "test").unwrap();
+        let dense_c = factor_complex(&mna, s, SolverBackend::Dense, "test").unwrap();
+        let bc = mna.unit_excitation(crate::netlist::SourceId(0)).unwrap();
+        for (u, v) in sparse_c.solve(&bc).iter().zip(dense_c.solve(&bc).iter()) {
+            assert!((*u - *v).abs() < 1e-9);
+        }
+    }
+
+    #[test]
     fn solve_many_matches_solve_on_every_backend() {
         let circuit = chain(25);
         let mna = MnaSystem::build(&circuit).unwrap();
